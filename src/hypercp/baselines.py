@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, XiRule
+from .hypergraph import Hypergraph, XiRule, row_indices
 from .solver import SolverConfig, SolverResult, hypernsm
 
 __all__ = [
@@ -68,14 +68,9 @@ class PowerIterationResult:
     converged: bool
     eigenvalue: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scores": [float(s) for s in self.scores],
-            "eigenvalue": float(self.eigenvalue),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "residuals": [],
-        }
+    # same JSON layout as the nonlinear solver; power iteration keeps no trace
+    residual_trace = ()
+    to_json_dict = SolverResult.to_json_dict
 
 
 def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> WeightedGraph:
@@ -185,21 +180,21 @@ class UmhsResult:
 def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator) -> list[int]:
     """One restart: random edge order, max-coverage picks, reverse pruning."""
     order = rng.permutation(h.m)
-    uncovered_count = h.degrees.astype(np.int64).copy()
+    uncovered_count = h.degrees
     covered = np.zeros(h.m, dtype=bool)
     selected: list[int] = []
 
-    for e in order:
+    for e in order.tolist():
         if covered[e]:
             continue
-        edge = h.edges[e]
-        best = min(edge, key=lambda u: (-uncovered_count[u], u))
+        edge = h.members[h.offsets[e] : h.offsets[e + 1]]
+        # members ascend, so argmax's first maximum is the lowest index
+        best = int(edge[np.argmax(uncovered_count[edge])])
         selected.append(best)
-        for e2 in h.incident_edges(best):
-            if not covered[e2]:
-                covered[e2] = True
-                for u in h.edges[e2]:
-                    uncovered_count[u] -= 1
+        incident = h.incident_edges(best)
+        newly = incident[~covered[incident]]
+        covered[newly] = True
+        np.subtract.at(uncovered_count, h.members[row_indices(h.offsets, newly)], 1)
 
     # prune in reverse insertion order; keep the set hitting
     hit_count = np.zeros(h.m, dtype=np.int64)

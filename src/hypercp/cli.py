@@ -21,6 +21,7 @@ import argparse
 import io
 import json
 import os
+import secrets
 import sys
 import time
 from pathlib import Path
@@ -39,11 +40,20 @@ _XI_FLAGS = {"reciprocal": XiRule.RECIPROCAL, "weighted": XiRule.WEIGHTED_RECIPR
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write then rename, so readers never observe a partial file."""
+    """Write a uniquely named temp file beside the target, then rename it
+    over the target: readers never see a partial file, writers never
+    share a temp file, and a failed write leaves none behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never opens an existing file; 0o666 lets the umask apply as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_json(path: Path, obj) -> None:

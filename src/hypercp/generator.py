@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule
+from .hypergraph import Hypergraph, XiRule, edge_xi, xi_vector
 
 __all__ = [
     "GeneratorConfig",
@@ -73,19 +73,11 @@ def edge_coreness(ranks, n: int, q: float) -> float:
     return float(np.sum(((n - r) / n) ** q) ** (1.0 / q))
 
 
-def _xi_scalar(size: int, rule: XiRule, weight: float = 1.0) -> float:
-    if rule is XiRule.RECIPROCAL:
-        return 1.0 / size
-    if rule is XiRule.WEIGHTED_RECIPROCAL:
-        return weight / size
-    return weight
-
-
 def edge_probability(ranks, cfg: GeneratorConfig) -> float:
     """Inclusion probability sigmoid(xi(e) * coreness(e)); always >= 1/2."""
     ranks = list(ranks)
     mu = edge_coreness(ranks, cfg.n, cfg.q_mu)
-    s = _xi_scalar(len(ranks), cfg.xi) * mu
+    s = edge_xi(len(ranks), 1.0, cfg.xi) * mu
     return float(1.0 / (1.0 + np.exp(-s)))
 
 
@@ -94,12 +86,12 @@ def candidate_count(n: int, max_size: int) -> int:
     return sum(comb(n, r) for r in range(2, max_size + 1))
 
 
-def _candidate_probabilities(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All candidate rank-subsets (padded array) and their probabilities.
+def _candidate_probabilities(cfg: GeneratorConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """All candidate rank-subsets and their probabilities, one block per size.
 
-    Returns (subsets, probs) where subsets is object-free: a flat list is
-    avoided by computing per-size blocks; the caller gets a list of
-    (size, rank_array) blocks folded into one concatenated structure.
+    Returns (blocks, probs): blocks[j] is an array with one row per
+    candidate of size j + 2, holding 0-based rank offsets in
+    lexicographic order, and probs[j] holds their inclusion probabilities.
     """
     blocks = []
     probs = []
@@ -113,7 +105,7 @@ def _candidate_probabilities(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarr
             count=comb(n, r) * r,
         ).reshape(-1, r)
         mu = np.sum(core_term[combos], axis=1) ** (1.0 / q)
-        s = _xi_scalar(r, cfg.xi) * mu
+        s = edge_xi(r, 1.0, cfg.xi) * mu
         probs.append(1.0 / (1.0 + np.exp(-s)))
         blocks.append(combos)
     return blocks, probs
@@ -146,12 +138,12 @@ def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, 
     node_of_rank[ranks - 1] = np.arange(cfg.n)
 
     blocks, probs = _candidate_probabilities(cfg)
-    edges: list[np.ndarray] = []
+    edges: list[list[int]] = []
     for combos, p in zip(blocks, probs):
         keep = rng.random(p.shape[0]) < p
         # combos hold rank-1 offsets 0..n-1 for ranks 1..n
-        edges.extend(node_of_rank[combos[keep]])
-    h = Hypergraph(cfg.n, [e.tolist() for e in edges])
+        edges.extend(node_of_rank[combos[keep]].tolist())
+    h = Hypergraph(cfg.n, edges)
     return h, ranks
 
 
@@ -166,14 +158,7 @@ def mle_objective(h: Hypergraph, perm, xi: XiRule, q_mu: float) -> float:
         raise ValueError("perm must be a bijection on {1..n}")
     core_term = ((h.n - ranks[h.members].astype(np.float64)) / h.n) ** q_mu
     mu = np.add.reduceat(core_term, h.offsets[:-1]) ** (1.0 / q_mu) if h.m else np.empty(0)
-    sizes = h.sizes.astype(np.float64)
-    if xi is XiRule.RECIPROCAL:
-        xi_vec = 1.0 / sizes
-    elif xi is XiRule.WEIGHTED_RECIPROCAL:
-        xi_vec = h.weights / sizes
-    else:
-        xi_vec = h.weights
-    return float(np.sum(xi_vec * mu))
+    return float(np.sum(xi_vector(h, xi) * mu))
 
 
 def hypercycle(sizes: tuple[int, ...] = (3, 4, 5, 6, 15)) -> tuple[Hypergraph, list[int]]:

@@ -1,4 +1,4 @@
-"""Immutable hypergraph with dual-indexed sparse incidence.
+"""Immutable hypergraph stored as one canonical sparse incidence.
 
 A hypergraph is a set of n nodes (dense indices 0..n-1) plus a list of
 hyperedges, each a set of at least two nodes, with a positive weight per
@@ -7,15 +7,17 @@ are sorted and deduplicated, exact duplicate edges are merged with their
 weights summed, and edges are stored in lexicographic order.  The object
 is immutable after construction and safe to share across threads.
 
-Incidence is kept in flat CSR-style arrays in both directions
-(edge -> member nodes and node -> incident edges), which is what the
-iterative solvers traffic in.
+The only stored incidence is the edge -> node CSR triple (`offsets`,
+`members`, `weights`).  Everything else is derived from it: the edge
+tuples, the node degrees and the node -> edge transpose.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import functools
+import itertools
+import numbers
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +36,41 @@ class XiRule(enum.Enum):
     UNIT = "unit"
 
 
+def row_indices(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in a flat CSR array of the given rows, concatenated."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of CSR rows of ids in [0, n), and a mask
+    over it marking the first of each run of equal rows.
+
+    The order of rows padded with -1 (a prefix sorts first), refined one
+    position at a time over only the rows still tied: the work stays
+    linear in the incidences however long the longest row.
+    """
+    sizes = np.diff(offsets)
+    order = np.arange(sizes.size)
+    group = np.zeros(sizes.size, dtype=np.int64)  # position where a row's tie group starts
+    live = np.arange(sizes.size if sizes.size > 1 else 0)
+    k = 0
+    while live.size:
+        rows, g = order[live], group[live]  # g ascends, so rows move only within groups
+        key = np.where(sizes[rows] > k, nodes[np.minimum(offsets[rows] + k, nodes.size - 1)], -1)
+        sort_key = g * (n + 1) + key
+        o = np.argsort(sort_key, kind="stable")
+        order[live], key, sort_key = rows[o], key[o], sort_key[o]
+        split = np.diff(sort_key, prepend=-2) != 0
+        run = np.cumsum(split) - 1
+        group[live] = live[split][run]
+        # a run of rows that all ended here holds equal rows: it is settled
+        live = live[(np.bincount(run)[run] > 1) & (key >= 0)]
+        k += 1
+    return order, np.diff(group, prepend=-1) != 0
+
+
 class Hypergraph:
     """Canonical in-memory hypergraph.
 
@@ -43,14 +80,17 @@ class Hypergraph:
         Number of nodes; indices 0..n-1.  Isolated nodes are allowed.
     edges : iterable of node-index lists
         Hyperedges.  Each is canonicalized to a sorted tuple of distinct
-        indices; an edge with fewer than two distinct nodes is an error.
-        Duplicate edges are merged and their weights summed.
+        integer indices; an edge with fewer than two distinct nodes is an
+        error.  Duplicate edges are merged and their weights summed.
     weights : sequence of positive floats, optional
         One weight per input edge; defaults to 1 for every edge.
     labels : sequence of str, optional
         External node labels, one per node.  Labels must be unique,
         non-empty, free of whitespace and '#', and must not start
         with '%' (the text-format comment marker).
+
+    Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
+    ``weights[e]``; these read-only arrays are the whole incidence.
     """
 
     def __init__(
@@ -62,72 +102,75 @@ class Hypergraph:
     ) -> None:
         if n < 0:
             raise ValueError(f"node count must be nonnegative, got {n}")
+        n = int(n)
         edges = list(edges)
-        if weights is None:
-            wlist = [1.0] * len(edges)
-        else:
-            wlist = [float(w) for w in weights]
-            if len(wlist) != len(edges):
-                raise ValueError(
-                    f"{len(edges)} edges but {len(wlist)} weights"
-                )
+        sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+        w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != sizes.shape:
+            raise ValueError(f"{len(edges)} edges but {w.size} weights")
+        bad = ~(np.isfinite(w) & (w > 0.0))
+        if bad.any():
+            raise ValueError(f"edge weight must be positive and finite, got {w[bad][0]}")
+        if not sizes.all():
+            raise ValueError("empty hyperedge")
+        if max(len(edges), 1) * (n + 1) >= 2**63:
+            raise ValueError(f"{len(edges)} edges on {n} nodes overflow the int64 sort keys")
 
-        merged: dict[tuple[int, ...], float] = {}
-        for raw, w in zip(edges, wlist):
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge weight must be positive and finite, got {w}")
-            key = tuple(sorted({int(i) for i in raw}))
-            if not key:
-                raise ValueError("empty hyperedge")
-            if key[0] < 0 or key[-1] >= n:
-                raise ValueError(f"node index out of range [0, {n}): {list(raw)}")
-            if len(key) < 2:
-                raise ValueError(
-                    f"hyperedge needs at least 2 distinct nodes, got {list(raw)}"
-                )
-            merged[key] = merged.get(key, 0.0) + w
+        flat = list(itertools.chain.from_iterable(edges))
+        nodes = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
+        if nodes.dtype.kind not in "iub" or nodes.ndim != 1:
+            culprit = next(
+                (i for i in flat if not (isinstance(i, numbers.Integral) and 0 <= i < n)), None
+            )
+            if culprit is not None:
+                raise ValueError(f"node ids must be integers in [0, {n}), got {culprit!r}")
+            nodes = np.array(flat, dtype=np.int64)  # in-range integers of mixed numpy types
+        nodes = nodes.astype(np.int64, copy=False)
+        edge_of = np.repeat(np.arange(len(edges)), sizes)
+        outside = np.flatnonzero((nodes < 0) | (nodes >= n))
+        if outside.size:
+            raw = edges[edge_of[outside[0]]]
+            raise ValueError(f"node index out of range [0, {n}): {list(raw)}")
 
-        self.n = int(n)
-        self.edges: list[tuple[int, ...]] = sorted(merged)
-        self.weights = np.array([merged[e] for e in self.edges], dtype=np.float64)
-        self.weights.flags.writeable = False
+        # sort within edges and drop repeated nodes, on one int64 key per incidence
+        keys = np.sort(edge_of * n + nodes)
+        edge_of, nodes = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
+        distinct = np.bincount(edge_of, minlength=len(edges))
+        if (distinct < 2).any():
+            raw = edges[np.argmax(distinct < 2)]
+            raise ValueError(f"hyperedge needs at least 2 distinct nodes, got {list(raw)}")
+
+        # sort edges and merge equal ones; bincount sums each run in input order
+        row_offsets = np.r_[0, np.cumsum(distinct)]
+        order, first = _sorted_rows(nodes, row_offsets, n)
+        self.n = n
+        self.offsets = np.r_[0, np.cumsum(distinct[order[first]])]
+        self.members = nodes[row_indices(row_offsets, order[first])]
+        # (bincount of nothing is int64, hence the cast)
+        self.weights = np.bincount(np.cumsum(first) - 1, weights=w[order]).astype(np.float64)
+        for a in (self.offsets, self.members, self.weights):
+            a.flags.writeable = False
 
         if labels is not None:
-            labels = [str(x) for x in labels]
+            labels = list(map(str, labels))
             if len(labels) != n:
                 raise ValueError(f"{n} nodes but {len(labels)} labels")
             if len(set(labels)) != n:
                 raise ValueError("node labels must be unique")
-            for lab in labels:
-                if not lab or lab.split() != [lab] or "#" in lab or lab.startswith("%"):
-                    raise ValueError(f"label not representable in text format: {lab!r}")
+            # the split gives the labels back iff none is empty or holds whitespace
+            joined = "\n".join(labels)
+            if joined.split() != labels or "#" in joined or "\n%" in "\n" + joined:
+                culprit = next(
+                    lab for lab in labels
+                    if lab.split() != [lab] or "#" in lab or lab.startswith("%")
+                )
+                raise ValueError(f"label not representable in text format: {culprit!r}")
         self.labels: list[str] | None = labels
-
-        # Flat edge->node incidence: members[offsets[e]:offsets[e+1]] lists edge e.
-        sizes = np.fromiter((len(e) for e in self.edges), dtype=np.int64, count=self.m)
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.members = (
-            np.concatenate([np.asarray(e, dtype=np.int64) for e in self.edges])
-            if self.edges
-            else np.empty(0, dtype=np.int64)
-        )
-        self.offsets.flags.writeable = False
-        self.members.flags.writeable = False
-
-        # Transposed index (node -> incident edges), built once.
-        edge_ids = np.repeat(np.arange(self.m, dtype=np.int64), sizes)
-        order = np.argsort(self.members, kind="stable")
-        self._node_edge_ids = edge_ids[order]
-        self._node_offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.members, minlength=self.n)))
-        ).astype(np.int64)
-        self._node_edge_ids.flags.writeable = False
-        self._node_offsets.flags.writeable = False
 
     @property
     def m(self) -> int:
         """Number of hyperedges."""
-        return len(self.edges)
+        return self.offsets.size - 1
 
     @property
     def sizes(self) -> np.ndarray:
@@ -137,7 +180,14 @@ class Hypergraph:
     @property
     def degrees(self) -> np.ndarray:
         """Per-node count of incident edges."""
-        return np.diff(self._node_offsets)
+        return np.bincount(self.members, minlength=self.n)
+
+    @property
+    def edges(self) -> list[tuple[int, ...]]:
+        """Edges as sorted node tuples in canonical order, derived from the
+        CSR arrays on each access (hot paths read those directly)."""
+        flat, bounds = self.members.tolist(), self.offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def degree_sum(self) -> int:
         """Total incidence count: sum of |e| over all edges.
@@ -147,10 +197,17 @@ class Hypergraph:
         """
         return int(self.members.size)
 
+    @functools.cached_property
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+        edge_ids = np.repeat(np.arange(self.m), self.sizes)[np.argsort(self.members, kind="stable")]
+        edge_ids.flags.writeable = False
+        return np.r_[0, np.cumsum(self.degrees)], edge_ids
+
     def incident_edges(self, node: int) -> np.ndarray:
-        """Edge ids containing `node`, in ascending order."""
-        lo, hi = self._node_offsets[node], self._node_offsets[node + 1]
-        return self._node_edge_ids[lo:hi]
+        """Edge ids containing `node`, in ascending order; read from the
+        node -> edge transpose, which the first call derives."""
+        node_offsets, edge_ids = self._transpose
+        return edge_ids[node_offsets[node] : node_offsets[node + 1]]
 
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""
@@ -159,8 +216,8 @@ class Hypergraph:
     def edges_by_label(self) -> list[tuple[tuple[str, ...], float]]:
         """Edges as sorted label tuples with weights, sorted; index-free view."""
         out = [
-            (tuple(sorted(self.label_of(i) for i in e)), float(w))
-            for e, w in zip(self.edges, self.weights)
+            (tuple(sorted(map(self.label_of, e))), w)
+            for e, w in zip(self.edges, self.weights.tolist())
         ]
         out.sort()
         return out
@@ -170,7 +227,8 @@ class Hypergraph:
             return NotImplemented
         return (
             self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.members, other.members)
             and np.array_equal(self.weights, other.weights)
             and self.labels == other.labels
         )
@@ -179,13 +237,17 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m})"
 
 
+def edge_xi(sizes, weights, rule: XiRule):
+    """The xi rule for edges of the given sizes and weights (arrays or scalars)."""
+    if rule is XiRule.RECIPROCAL:
+        return 1.0 / np.asarray(sizes, dtype=np.float64)
+    if rule is XiRule.WEIGHTED_RECIPROCAL:
+        return weights / np.asarray(sizes, dtype=np.float64)
+    if rule is XiRule.UNIT:
+        return np.array(weights, dtype=np.float64)
+    raise ValueError(f"unknown xi rule: {rule!r}")
+
+
 def xi_vector(h: Hypergraph, rule: XiRule) -> np.ndarray:
     """Per-edge scaling values under `rule`; strictly positive."""
-    sizes = h.sizes.astype(np.float64)
-    if rule is XiRule.RECIPROCAL:
-        return 1.0 / sizes
-    if rule is XiRule.WEIGHTED_RECIPROCAL:
-        return h.weights / sizes
-    if rule is XiRule.UNIT:
-        return h.weights.copy()
-    raise ValueError(f"unknown xi rule: {rule!r}")
+    return edge_xi(h.sizes, h.weights, rule)

@@ -3,9 +3,9 @@
 Canonical text format: one hyperedge per line as whitespace-separated
 node labels, optionally followed by ``# w=<float>``; lines starting with
 ``%`` are comments.  Writing always prints the weight and orders labels
-and edges canonically, so write -> read -> write is byte-stable.  Labels
-map to dense 0-based indices in first-appearance order and the mapping
-is kept on the hypergraph.
+and edges by dense index.  Labels map to dense 0-based indices in
+first-appearance order and the mapping is kept on the hypergraph, so a
+reread file keeps every edge's labels and weight bytes, not its layout.
 
 Simplex streams are the three-parallel-file layout (sizes file, member
 file, optional timestamp file, one integer/label per line).  Each
@@ -17,9 +17,11 @@ ignored.  All readers accept plain or gzip-compressed files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gzip
 import logging
+import math
 from pathlib import Path
 
 from .hypergraph import Hypergraph
@@ -45,20 +47,7 @@ def _open_text(source, mode: str = "rt"):
         if path.suffix == ".gz":
             return gzip.open(path, mode)
         return open(path, mode)
-    return _NoClose(source)
-
-
-class _NoClose:
-    """Context manager that exposes a stream without closing it."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def __enter__(self):
-        return self.stream
-
-    def __exit__(self, *exc):
-        return False
+    return contextlib.nullcontext(source)
 
 
 def read_edge_list(source) -> Hypergraph:
@@ -95,8 +84,8 @@ def read_edge_list(source) -> Hypergraph:
                 raise ValueError(
                     f"line {lineno}: a hyperedge needs at least 2 distinct labels"
                 )
-            if weight <= 0.0:
-                raise ValueError(f"line {lineno}: weight must be positive, got {weight}")
+            if not (math.isfinite(weight) and weight > 0.0):
+                raise ValueError(f"line {lineno}: weight must be positive and finite, got {weight}")
             for lab in labels:
                 if lab not in index:
                     index[lab] = len(index)
@@ -108,10 +97,13 @@ def read_edge_list(source) -> Hypergraph:
 
 def hypergraph_to_text(h: Hypergraph) -> str:
     """Canonical text serialization; weights always printed."""
-    lines = []
-    for edge, w in zip(h.edges, h.weights):
-        labels = " ".join(h.label_of(i) for i in edge)
-        lines.append(f"{labels} # w={float(w)!r}")
+    names = h.labels if h.labels is not None else list(map(str, range(h.n)))
+    tokens = [names[i] for i in h.members.tolist()]
+    bounds = h.offsets.tolist()
+    lines = [
+        f"{' '.join(tokens[a:b])} # w={w!r}"
+        for a, b, w in zip(bounds, bounds[1:], h.weights.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -177,7 +169,7 @@ def simplices_to_hypergraph(stream: SimplexStream) -> tuple[Hypergraph, int]:
     for size in stream.nverts:
         chunk = stream.flat_nodes[pos : pos + size]
         pos += size
-        distinct = sorted(set(chunk), key=chunk.index)
+        distinct = list(dict.fromkeys(chunk))
         if len(distinct) < 2:
             dropped += 1
             continue

@@ -56,30 +56,17 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
-def _ascending_order(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(scores.size), scores))
-
-
 def profile_value(h: Hypergraph, nodes: Iterable[int], xi: XiRule | None = None) -> float:
     """Contained-over-touched edge ratio for one node set.
 
     Unweighted when xi is None (edge counts), xi-weighted otherwise.
-    Returns 0 when no edge touches the set.
+    Returns 0 when no edge touches the set.  This is the profile curve's
+    value at the prefix that the set fills when its nodes score lowest.
     """
     inside = np.zeros(h.n, dtype=bool)
     inside[list(nodes)] = True
-    member_in = inside[h.members].astype(np.int64)
-    per_edge_in = (
-        np.add.reduceat(member_in, h.offsets[:-1]) if h.m else np.empty(0, dtype=np.int64)
-    )
-    touched = per_edge_in > 0
-    contained = per_edge_in == h.sizes
-    w = np.ones(h.m) if xi is None else xi_vector(h, xi)
-    denom = float(w[touched].sum())
-    if denom == 0.0:
-        return 0.0
-    return float(w[contained].sum()) / denom
+    k = int(inside.sum())
+    return float(profile_curve(h, ~inside, xi).values[k - 1]) if k else 0.0
 
 
 def profile_curve(
@@ -90,27 +77,24 @@ def profile_curve(
 ) -> ProfileCurve:
     """Profile over the prefixes of the ascending-score node order.
 
-    Grows the set one node at a time and maintains per-edge membership
-    counters, so the whole curve costs O(sum of edge sizes + n).
+    An edge is touched from the prefix holding its first member in that
+    order and contained from the prefix holding its last, so the curve
+    is a ratio of two cumulative sums and costs O(sum of edge sizes + n).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (h.n,):
         raise ValueError(f"scores must have length {h.n}, got shape {scores.shape}")
     w = np.ones(h.m) if xi is None else xi_vector(h, xi)
-    sizes = h.sizes
-
-    inside_count = np.zeros(h.m, dtype=np.int64)
-    touched_sum = 0.0
-    contained_sum = 0.0
-    values = np.empty(h.n)
-    for k, node in enumerate(_ascending_order(scores)):
-        for e in h.incident_edges(node):
-            inside_count[e] += 1
-            if inside_count[e] == 1:
-                touched_sum += w[e]
-            if inside_count[e] == sizes[e]:
-                contained_sum += w[e]
-        values[k] = contained_sum / touched_sum if touched_sum > 0.0 else 0.0
+    position = np.empty(h.n, dtype=np.int64)
+    position[rank_by_score(-scores)] = np.arange(h.n)  # ascending, ties by index
+    at = position[h.members]
+    starts = h.offsets[:-1]
+    touched = np.cumsum(np.bincount(np.minimum.reduceat(at, starts), weights=w, minlength=h.n))
+    contained = np.cumsum(np.bincount(np.maximum.reduceat(at, starts), weights=w, minlength=h.n))
+    values = np.zeros(h.n)
+    np.divide(contained, touched, out=values, where=touched > 0.0)
+    # containment implies touching, so only rounding can push a ratio past 1
+    values = np.minimum(values, 1.0)
     return ProfileCurve(values=values, kind="profile", method_label=method_label)
 
 

@@ -161,7 +161,7 @@ def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise ValueError(f"score vector must have length {h.n}, got shape {x.shape}")
-    if np.any(x[h.degrees > 0] <= 0.0):
+    if np.any(x[h.members] <= 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
     return _gradient(h, xi_vector(h, xi), x, q)
 

@@ -39,6 +39,23 @@ def random_hypergraph(
     return Hypergraph(n, edges, weights=weights)
 
 
+def canonical_incidence(n: int, edges, weights=None):
+    """Canonical (offsets, members, weights) by an edge-by-edge dict merge.
+
+    Sorts and dedupes each edge, sums the weights of equal edges in input
+    order, and orders edges lexicographically; no vectorized sorting.
+    """
+    wlist = [1.0] * len(edges) if weights is None else [float(w) for w in weights]
+    merged: dict[tuple[int, ...], float] = {}
+    for raw, w in zip(edges, wlist):
+        key = tuple(sorted({int(i) for i in raw}))
+        merged[key] = merged.get(key, 0.0) + w
+    keys = sorted(merged)
+    offsets = np.array([0] + [len(k) for k in keys], dtype=np.int64).cumsum()
+    members = np.array([i for k in keys for i in k], dtype=np.int64)
+    return offsets, members, np.array([merged[k] for k in keys], dtype=np.float64)
+
+
 def dense_incidence(h: Hypergraph) -> np.ndarray:
     """0/1 node-by-edge incidence matrix, built edge by edge."""
     b = np.zeros((h.n, h.m))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hypercp import hypercycle, write_edge_list
-from hypercp.cli import main
+from hypercp.cli import _atomic_write, main
+
+from helpers import random_hypergraph
 
 
 def run(args):
@@ -115,6 +117,41 @@ class TestProfileCommand:
         # through k=5 and |C|/n at the end
         assert curves["hypernsm"][:5] == [1.0] * 5
         assert curves["hypernsm"][27] == pytest.approx(5 / 28)
+
+    def test_weighted_profile_on_random_weighted_files(self, tmp_path):
+        # seeds 5, 10-13 and 19 failed with "curve values must lie in [0, 1]"
+        # before the producer clamped its rounding
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            h = random_hypergraph(rng, 12, 20, weighted=True)
+            graph, scores = tmp_path / f"h{seed}.txt", tmp_path / f"s{seed}.json"
+            write_edge_list(h, graph)
+            scores.write_text(json.dumps({"scores": rng.uniform(size=12).tolist()}))
+            out = tmp_path / f"curve{seed}.csv"
+            assert run(["profile", "--input", graph, "--scores", scores, "--out", out,
+                        "--weighted"]) == 0
+            values = read_curves(out)[""]
+            assert max(values) <= 1.0 and values[-1] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestAtomicWrite:
+    def test_unique_temp_file_leaves_no_trace(self, tmp_path):
+        target = tmp_path / "out.json"
+        stale = tmp_path / "out.json.tmp"
+        stale.write_text("another writer's data")
+        _atomic_write(target, "payload\n")
+        assert target.read_text() == "payload\n"
+        assert stale.read_text() == "another writer's data"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.tmp"]
+        assert target.stat().st_mode == stale.stat().st_mode  # the mode open() gives
+
+    def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            _atomic_write(target, None)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestCompare:

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercp import Hypergraph, XiRule, hypercycle, xi_vector
 
-from helpers import random_hypergraph
+from helpers import canonical_incidence, random_hypergraph
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges with repeated nodes and permuted duplicates, plus weights."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    base = draw(st.lists(st.lists(node, min_size=2, max_size=7), max_size=25))
+    base = [e for e in base if len(set(e)) >= 2]
+    dups = draw(st.lists(st.sampled_from(base), max_size=15)) if base else []
+    edges = base + [draw(st.permutations(e)) for e in dups]
+    edges = draw(st.permutations(edges))
+    weight = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    weights = draw(st.none() | st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return n, edges, weights
 
 
 def test_basic_construction():
@@ -44,11 +61,26 @@ def test_edge_order_is_input_independent():
         ([[0, 1]], [-2.0], "positive"),
         ([[0, 1]], [float("inf")], "positive"),
         ([[0, 1]], [1.0, 2.0], "weights"),
+        ([[0, 1.5, 2]], None, "integers"),
+        ([[0, 2.0]], None, "integers"),
+        ([[0, "1"]], None, "integers"),
+        ([[0, 2**70]], None, "integers"),
+        ([[0, 1]], [float("nan")], "positive"),
     ],
 )
 def test_rejects_bad_input(edges, weights, err):
     with pytest.raises(ValueError, match=err):
         Hypergraph(3, edges, weights=weights)
+
+
+def test_integer_ids_of_mixed_numpy_types_are_accepted():
+    # numpy types a uint64 and an int64 scalar together as float64
+    assert Hypergraph(3, [[np.uint64(2), np.int64(0)]]).edges == [(0, 2)]
+
+
+def test_rejects_node_count_beyond_int64_sort_keys():
+    with pytest.raises(ValueError, match="overflow"):
+        Hypergraph(2**62, [[0, 1], [1, 2]])
 
 
 def test_hypercycle_shape():
@@ -116,3 +148,22 @@ def test_immutability_of_arrays():
         h.weights[0] = 5.0
     with pytest.raises(ValueError):
         h.members[0] = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_construction_matches_dict_merge_oracle(case):
+    n, edges, weights = case
+    h = Hypergraph(n, edges, weights=weights)
+    offsets, members, merged = canonical_incidence(n, edges, weights)
+    for got, want in ((h.offsets, offsets), (h.members, members), (h.weights, merged)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert h.edges == [tuple(members[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
+    assert h.degrees.tolist() == [sum(i in e for e in h.edges) for i in range(n)]
+
+
+def test_prefix_edges_sort_first_and_merge():
+    h = Hypergraph(5, [[2, 1, 0], [1, 0], [0, 2], [3, 2, 1], [0, 1, 1], [4, 1, 0, 2]],
+                   weights=[1.0, 0.1, 1.0, 1.0, 0.2, 1.0])
+    assert h.edges == [(0, 1), (0, 1, 2), (0, 1, 2, 4), (0, 2), (1, 2, 3)]
+    assert h.weights.tolist() == [0.1 + 0.2, 1.0, 1.0, 1.0, 1.0]

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercp import Hypergraph, read_edge_list, read_simplex_stream, write_edge_list
 from hypercp.ingest import (
@@ -13,7 +15,7 @@ from hypercp.ingest import (
     simplices_to_hypergraph,
 )
 
-from helpers import random_hypergraph
+from helpers import canonical_incidence, random_hypergraph
 
 
 class TestReadEdgeList:
@@ -44,6 +46,11 @@ class TestReadEdgeList:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             read_edge_list(io.StringIO("a b # w=0\n"))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_nonfinite_weight_reports_line(self, weight):
+        with pytest.raises(ValueError, match="line 2: weight must be positive and finite"):
+            read_edge_list(io.StringIO(f"a b\nb c # w={weight}\n"))
 
     def test_first_appearance_indexing(self):
         h = read_edge_list(io.StringIO("z y\nx z\n"))
@@ -182,3 +189,39 @@ class TestLabelSet:
         found, missing = read_label_set(io.StringIO("0 2 7\n"), h)
         assert found == [0, 2]
         assert missing == ["7"]
+
+
+def _text_from_oracle(n, edges, weights) -> str:
+    offsets, members, merged = canonical_incidence(n, edges, weights)
+    return "".join(
+        " ".join(map(str, members[a:b].tolist())) + f" # w={w!r}\n"
+        for a, b, w in zip(offsets.tolist(), offsets[1:].tolist(), merged.tolist())
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 15).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=6)
+                     .filter(lambda e: len(set(e)) >= 2), max_size=30),
+        )
+    ),
+    st.floats(1e-6, 1e6),
+)
+def test_write_read_write_keeps_bytes_and_structure(case, scale):
+    n, edges = case
+    weights = [scale * (1 + k % 3) / 7 for k in range(len(edges))]
+    h = Hypergraph(n, edges, weights=weights)
+    text = hypergraph_to_text(h)
+    assert text == _text_from_oracle(n, edges, weights)
+    h2 = read_edge_list(io.StringIO(text))
+    assert h2.edges_by_label() == h.edges_by_label()
+    # rereading reindexes labels by first appearance, so lines may
+    # reorder, but each line's labels and weight bytes survive
+    def lines(t):
+        return sorted((sorted(line.split(" # ")[0].split()), line.split(" # ")[1])
+                      for line in t.splitlines())
+    text2 = hypergraph_to_text(h2)
+    assert lines(text2) == lines(text)

@@ -94,6 +94,21 @@ class TestProfileCurve:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, c.values)
 
+    def test_weighted_curve_never_exceeds_one(self):
+        # the contained and touched sums round differently; seeds 1, 2
+        # and 3 pushed the last ratio to 1 + 1 ulp before the clamp
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            h = random_hypergraph(rng, 12, 20, weighted=True)
+            scores = rng.uniform(size=12)
+            curve = profile_curve(h, scores, xi=XiRule.WEIGHTED_RECIPROCAL)
+            assert curve.values.max() <= 1.0
+            assert curve.values[-1] == pytest.approx(1.0, rel=1e-12)
+            order = np.lexsort((np.arange(12), scores))
+            for k in (1, 6, 12):
+                want = naive_profile_value(h, order[:k], XiRule.WEIGHTED_RECIPROCAL)
+                assert curve.values[k - 1] == pytest.approx(want, rel=1e-12)
+
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(6)
         h = random_hypergraph(rng, 10, 14, cover_all=False)
