@@ -87,11 +87,8 @@ def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> WeightedGr
             f"clique expansion needs {pair_count} pair accumulations, "
             f"over the budget of {pair_budget}"
         )
-    # incidence as edge-by-node CSR, then A = B diag(w) B^T minus diagonal
-    bt = sp.csr_matrix(
-        (np.ones(h.members.size), h.members, h.offsets), shape=(h.m, h.n)
-    )
-    a = (bt.T @ sp.diags(h.weights) @ bt).tocsr()
+    # A = B^T diag(w) B minus its diagonal, B the edge-by-node incidence
+    a = (h.incidence.T @ sp.diags(h.weights) @ h.incidence).tocsr()
     a.setdiag(0.0)
     a.eliminate_zeros()
     return WeightedGraph(h.n, a)

@@ -172,18 +172,32 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _load_scores(path: str, n: int) -> np.ndarray:
+def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
+    """Scores from a `detect` output file: the JSON payload, in node
+    order, or the node,label,score CSV, matched to nodes by label."""
     with open(path) as f:
-        payload = json.load(f)
-    scores = np.asarray(payload["scores"], dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValueError(f"score file has {scores.size} entries, hypergraph has {n} nodes")
+        text = f.read()
+    lines = text.splitlines()
+    if lines[:1] != ["node,label,score"]:
+        scores = np.asarray(json.loads(text)["scores"], dtype=np.float64)
+    else:
+        try:  # node ids and float reprs hold no comma; a label may
+            rows = [line.split(",", 1)[1].rsplit(",", 1) for line in lines[1:]]
+            by_label = {label: float(score) for label, score in rows}
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: rows must be node,label,score") from None
+        labels = [h.label_of(i) for i in range(h.n)]
+        if len(rows) != h.n or by_label.keys() != set(labels):
+            raise ValueError(f"score file rows do not match the {h.n} node labels")
+        scores = np.array([by_label[lab] for lab in labels])
+    if scores.shape != (h.n,):
+        raise ValueError(f"score file has {scores.size} entries, hypergraph has {h.n} nodes")
     return scores
 
 
 def cmd_profile(args) -> int:
     h = read_edge_list(args.input)
-    scores = _load_scores(args.scores, h.n)
+    scores = _load_scores(args.scores, h)
     if args.kind == "profile":
         curve = profile_curve(h, scores, xi=_resolve_xi(args.xi, h) if args.weighted else None,
                               method_label=args.method_label)
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="profile curve from a score file")
     p.add_argument("--input", required=True)
-    p.add_argument("--scores", required=True, help="JSON score file from detect")
+    p.add_argument("--scores", required=True, help="score file from detect, JSON or CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=("profile", "intersection"), default="profile")
     p.add_argument("--xi", choices=sorted(_XI_FLAGS), default=None)

@@ -9,7 +9,10 @@ is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`).  Everything else is derived from it: the edge
-tuples, the node degrees and the node -> edge transpose.
+tuples, and, built on first use and cached, the 0/1 incidence matrix B
+(m x n, `scipy.sparse` CSR) that the solver's kernel multiplies by, and
+its transpose, which also gives the node degrees and the node -> edge
+lists.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numbers
 from collections.abc import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class XiRule(enum.Enum):
@@ -71,6 +75,12 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
     return order, np.diff(group, prepend=-1) != 0
 
 
+def _read_only(a: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False
+    return a
+
+
 class Hypergraph:
     """Canonical in-memory hypergraph.
 
@@ -91,6 +101,8 @@ class Hypergraph:
 
     Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
     ``weights[e]``; these read-only arrays are the whole incidence.
+    `incidence` (B) and `incidence_t` (B transposed) are read-only
+    `scipy.sparse` CSR matrices built from them on first access.
     """
 
     def __init__(
@@ -179,8 +191,8 @@ class Hypergraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Per-node count of incident edges."""
-        return np.bincount(self.members, minlength=self.n)
+        """Per-node count of incident edges (a fresh int64 array)."""
+        return np.diff(self.incidence_t.indptr).astype(np.int64)
 
     @property
     def edges(self) -> list[tuple[int, ...]]:
@@ -198,16 +210,23 @@ class Hypergraph:
         return int(self.members.size)
 
     @functools.cached_property
-    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
-        edge_ids = np.repeat(np.arange(self.m), self.sizes)[np.argsort(self.members, kind="stable")]
-        edge_ids.flags.writeable = False
-        return np.r_[0, np.cumsum(self.degrees)], edge_ids
+    def incidence(self) -> sp.csr_matrix:
+        """0/1 edge-by-node incidence matrix B (m x n), CSR, read-only."""
+        b = sp.csr_matrix(
+            (np.ones(self.members.size), self.members, self.offsets), shape=(self.m, self.n)
+        )
+        return _read_only(b)
+
+    @functools.cached_property
+    def incidence_t(self) -> sp.csr_matrix:
+        """B transposed (n x m), CSR, read-only: row i lists the edges
+        containing node i in ascending order."""
+        return _read_only(self.incidence.T.tocsr())
 
     def incident_edges(self, node: int) -> np.ndarray:
-        """Edge ids containing `node`, in ascending order; read from the
-        node -> edge transpose, which the first call derives."""
-        node_offsets, edge_ids = self._transpose
-        return edge_ids[node_offsets[node] : node_offsets[node + 1]]
+        """Edge ids containing `node`, in ascending order."""
+        bt = self.incidence_t
+        return bt.indices[bt.indptr[node] : bt.indptr[node + 1]]
 
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""

@@ -12,8 +12,18 @@ so it converges globally and linearly from any positive start.  The
 limit also solves a nonlinear eigenvector problem, which gives an
 independent residual check (`eigen_residual`).
 
-All per-edge q-norm accumulations rescale by the edge's max entry before
-exponentiation: with q around 10, raw powers under/overflow readily.
+The objective and its gradient share one kernel of two sparse
+matrix-vector products with the incidence matrix B of the hypergraph:
+with z = x / max(x) and e = B z^q (the edge q-power sums of z),
+
+    gradient  = z^(q-1) * B^T (xi * e^(1/q - 1))     (0-homogeneous in x)
+    objective = max(x) * sum over edges of xi * e^(1/q).
+
+With q around 10, raw powers of x under/overflow readily; the one global
+rescale keeps every edge sum accurate unless every member of an edge is
+below about 1e-31 * max(x) (at q=10).  Such an edge has e below the
+smallest normal float, where it is subnormal or 0, and only those edges
+are recomputed with their own max entry as the scale.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, xi_vector
+from .hypergraph import Hypergraph, XiRule, row_indices, xi_vector
 
 __all__ = [
     "SolverConfig",
@@ -108,22 +118,26 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     return mx * float(np.sum((x / mx) ** p)) ** (1.0 / p)
 
 
-def _edge_max_and_scaled_qsum(
-    h: Hypergraph, x: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge max entry mx_e and s_e = sum over e of (x_i / mx_e)^q.
+def _edge_power_sums(
+    h: Hypergraph, z: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge q-power sums of z as s_e * r_e^q, for z with entries in [0, 1].
 
-    The edge q-norm is mx_e * s_e^(1/q); edges whose members are all
-    zero get mx_e = 0 and s_e = 0.
+    s = B z^q with r_e = 1, except on the edges where that sum underflows
+    below the smallest normal float: those are returned as `low` and
+    recomputed with r_e their largest member and s_e = sum (z_i / r_e)^q.
+    r is given on `low` only; an edge of zeros has r_e = s_e = 0.
     """
-    vals = x[h.members]
-    starts = h.offsets[:-1]
-    mx = np.maximum.reduceat(vals, starts)
-    safe = np.where(mx > 0.0, mx, 1.0)
-    scaled = vals / np.repeat(safe, h.sizes)
-    s = np.add.reduceat(scaled**q, starts)
-    s[mx == 0.0] = 0.0
-    return mx, s
+    s = h.incidence @ z**q
+    low = np.flatnonzero(s < np.finfo(np.float64).tiny)
+    if not low.size:
+        return s, low, low
+    sizes = h.sizes[low]
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    vals = z[h.members[row_indices(h.offsets, low)]]
+    r = np.maximum.reduceat(vals, starts)
+    s[low] = np.add.reduceat((vals / np.repeat(np.where(r > 0.0, r, 1.0), sizes)) ** q, starts)
+    return s, low, r
 
 
 def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
@@ -133,10 +147,13 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
         raise ValueError(f"score vector must have length {h.n}, got shape {x.shape}")
     if np.any(x < 0.0):
         raise ValueError("objective requires a nonnegative vector")
-    if h.m == 0:
+    mx = float(np.max(x, initial=0.0))
+    if h.m == 0 or mx == 0.0:
         return 0.0
-    mx, s = _edge_max_and_scaled_qsum(h, x, q)
-    return float(np.sum(xi_vector(h, xi) * mx * s ** (1.0 / q)))
+    s, low, r = _edge_power_sums(h, x / mx, q)
+    norms = s ** (1.0 / q)
+    norms[low] *= r
+    return mx * float(np.sum(xi_vector(h, xi) * norms))
 
 
 def _gradient(h: Hypergraph, xi_vec: np.ndarray, x: np.ndarray, q: float) -> np.ndarray:
@@ -144,12 +161,14 @@ def _gradient(h: Hypergraph, xi_vec: np.ndarray, x: np.ndarray, q: float) -> np.
 
     Entry i is x_i^(q-1) * sum over edges containing i of
     xi(e) * (edge q-power sum)^(1/q - 1); isolated nodes map to 0.
+    Both factors are taken at z = x / max(x), as the product does not
+    change when x is scaled.
     """
-    mx, s = _edge_max_and_scaled_qsum(h, x, q)
-    # (mx^q * s)^(1/q - 1) split into exact power factors of mx and s.
-    t = xi_vec * mx ** (1.0 - q) * s ** (1.0 / q - 1.0)
-    acc = np.bincount(h.members, weights=np.repeat(t, h.sizes), minlength=h.n)
-    return x ** (q - 1.0) * acc
+    z = x / np.max(x)
+    s, low, r = _edge_power_sums(h, z, q)
+    t = xi_vec * s ** (1.0 / q - 1.0)
+    t[low] *= r ** (1.0 - q)
+    return z ** (q - 1.0) * (h.incidence_t @ t)
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
@@ -161,7 +180,7 @@ def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise ValueError(f"score vector must have length {h.n}, got shape {x.shape}")
-    if np.any(x[h.members] <= 0.0):
+    if np.any(x[h.degrees > 0] <= 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
     return _gradient(h, xi_vector(h, xi), x, q)
 
@@ -204,7 +223,12 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
 
     q, p = cfg.q, cfg.p
     pstar = cfg.p_conjugate
+    # The fixed point does not change when xi is scaled.  Dividing xi by
+    # the power of two that brings its max into [0.5, 1) keeps a huge xi
+    # from overflowing the gradient and rounds nothing; lam is scaled back.
     xi_vec = xi_vector(h, cfg.xi)
+    xi_exp = int(np.frexp(np.max(xi_vec))[1])
+    xi_vec = np.ldexp(xi_vec, -xi_exp)
     active = h.degrees > 0
     n_isolated = int(h.n - np.count_nonzero(active))
 
@@ -231,7 +255,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             break
 
     x = x / _pnorm(x, p)
-    lam = _pnorm(_gradient(h, xi_vec, x, q), pstar)
+    lam = float(np.ldexp(_pnorm(_gradient(h, xi_vec, x, q), pstar), xi_exp))
     contraction_trace = [
         d1 / d0 for d0, d1 in zip(step_distances, step_distances[1:]) if d0 > 0.0
     ]
@@ -267,9 +291,10 @@ def eigen_residual(
     fz = z ** (q / (p - q))
     xi_vec = xi_vector(h, xi)
 
-    edge_sums = np.add.reduceat(fz[h.members], h.offsets[:-1])
+    edge_sums = h.incidence @ fz
     gvals = np.where(edge_sums > 0.0, edge_sums, 1.0) ** (1.0 / q - 1.0)
     gvals[edge_sums == 0.0] = 0.0
-    lhs = np.bincount(h.members, weights=np.repeat(xi_vec * gvals, h.sizes), minlength=h.n)
+    lhs = h.incidence_t @ (xi_vec * gvals)
 
-    return float(np.linalg.norm(lhs - result.eigenvalue * z) / np.linalg.norm(z))
+    # max-rescaled 2-norms: with a huge xi, squaring the entries overflows
+    return _pnorm(np.abs(lhs - result.eigenvalue * z), 2.0) / _pnorm(z, 2.0)

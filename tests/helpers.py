@@ -81,6 +81,39 @@ def dense_gradient(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> np.n
     return x ** (q - 1.0) * (b @ (xi_values(h, rule) * y ** (1.0 / q - 1.0)))
 
 
+def longdouble_fixed_point(
+    h: Hypergraph, rule: XiRule, p: float, q: float, tol: float = 1e-14, max_iter: int = 100_000
+) -> np.ndarray:
+    """The solver's fixed point, iterated edge by edge in np.longdouble.
+
+    Its exponent range (about 1e+-4932 on x86) holds every raw power
+    x^q that a float64 solve has to rescale, so nothing is rescaled
+    here.  Stops when the contraction bound c/(1-c) times the Thompson
+    step, an upper bound on the distance to the fixed point, is below
+    tol; returns unit-p-norm scores as float64.
+    """
+    ld = np.longdouble
+    p, q = ld(p), ld(q)
+    c = (q - 1) / (p - 1)
+    xi = xi_values(h, rule).astype(ld)
+    edges = [list(e) for e in h.edges]
+    active = np.zeros(h.n, dtype=bool)
+    active[[i for e in edges for i in e]] = True
+    x = np.where(active, ld(1), ld(0))
+    for _ in range(max_iter):
+        y = np.zeros(h.n, dtype=ld)
+        for j, e in enumerate(edges):
+            y[e] += xi[j] * np.sum(x[e] ** q) ** (1 / q - 1)
+        y *= x ** (q - 1)
+        pstar = p / (p - 1)
+        y = (y / np.sum(y**pstar) ** (1 / pstar)) ** (1 / (p - 1))
+        step = np.max(np.abs(np.log(y[active]) - np.log(x[active])))
+        x = y
+        if c / (1 - c) * step < tol:
+            return (x / np.sum(x**p) ** (1 / p)).astype(np.float64)
+    raise AssertionError(f"longdouble oracle did not converge in {max_iter} steps")
+
+
 def naive_objective(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> float:
     xi = xi_values(h, rule)
     return sum(

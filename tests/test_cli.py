@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hypercp import hypercycle, write_edge_list
+from hypercp import Hypergraph, hypercycle, write_edge_list
 from hypercp.cli import _atomic_write, main
 
 from helpers import random_hypergraph
@@ -101,6 +101,37 @@ class TestProfileCommand:
         assert code == 0
         curves = read_curves(out)
         assert curves["hypernsm"][27] == 1.0
+
+    @pytest.mark.parametrize("kind", ["profile", "intersection"])
+    def test_csv_scores_match_json_route(self, tmp_path, kind):
+        # labels that are not node ids, one holding a comma: rows match by label
+        h = Hypergraph(5, [[0, 1, 2], [1, 3], [2, 3, 4], [0, 4]], weights=[1.0, 2.0, 0.5, 1.5],
+                       labels=["e", "c,1", "a", "d", "b"])
+        graph, core = tmp_path / "h.txt", tmp_path / "core.txt"
+        write_edge_list(h, graph)
+        core.write_text("a\nc,1\n")
+        curves = []
+        for fmt in ("json", "csv"):
+            scores, out = tmp_path / f"s.{fmt}", tmp_path / f"curve_{fmt}.csv"
+            assert run(["detect", "--method", "borgatti-everett", "--input", graph,
+                        "--out", scores, "--format", fmt]) == 0
+            assert run(["profile", "--input", graph, "--scores", scores, "--out", out,
+                        "--kind", kind, "--core-file", core, "--weighted"]) == 0
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1]
+
+    def test_bad_csv_scores_rejected(self, hypercycle_file, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        run(["detect", "--input", hypercycle_file, "--out", scores, "--format", "csv"])
+        scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
+        code = run(["profile", "--input", hypercycle_file, "--scores", scores,
+                    "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "do not match the 28 node labels" in capsys.readouterr().err
+        scores.write_text("node,label,score\n0;0;1.0\n")
+        assert run(["profile", "--input", hypercycle_file, "--scores", scores,
+                    "--out", tmp_path / "c.csv"]) == 1
+        assert "rows must be node,label,score" in capsys.readouterr().err
 
     def test_intersection_kind(self, hypercycle_file, tmp_path):
         h, overlaps = hypercycle()

@@ -148,6 +148,11 @@ def test_immutability_of_arrays():
         h.weights[0] = 5.0
     with pytest.raises(ValueError):
         h.members[0] = 2
+    for b in (h.incidence, h.incidence_t):
+        with pytest.raises(ValueError):
+            b.data[0] = 2.0
+        with pytest.raises(ValueError):
+            b.indices[0] = 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,6 +165,23 @@ def test_construction_matches_dict_merge_oracle(case):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert h.edges == [tuple(members[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
     assert h.degrees.tolist() == [sum(i in e for e in h.edges) for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_incidence_matrices_match_members(case):
+    n, edges, weights = case
+    h = Hypergraph(n, edges, weights=weights)
+    dense = np.zeros((h.m, n))
+    for e in range(h.m):
+        dense[e, h.members[h.offsets[e] : h.offsets[e + 1]]] = 1.0
+    assert h.incidence.shape == (h.m, n) and h.incidence_t.shape == (n, h.m)
+    assert np.array_equal(h.incidence.toarray(), dense)
+    assert np.array_equal(h.incidence_t.toarray(), dense.T)
+    for i in range(n):
+        want = [e for e in range(h.m) if i in h.members[h.offsets[e] : h.offsets[e + 1]]]
+        assert h.incident_edges(i).tolist() == want  # ascending, as built
+    assert h.degrees.tolist() == np.bincount(h.members, minlength=n).tolist()
 
 
 def test_prefix_edges_sort_first_and_merge():

@@ -16,7 +16,7 @@ from hypercp import (
     thompson_distance,
 )
 
-from helpers import dense_gradient, naive_objective, random_hypergraph
+from helpers import dense_gradient, longdouble_fixed_point, naive_objective, random_hypergraph
 
 RECIP = XiRule.RECIPROCAL
 UNIT = XiRule.UNIT
@@ -122,6 +122,21 @@ class TestGradientMap:
         x = np.array([1.0, 1.0, 0.0, 0.0])
         out = objective_gradient(h, RECIP, x, 10.0)
         assert out[2] == 0.0 and out[3] == 0.0
+
+    def test_underflowed_edges_rescaled(self):
+        # every member of edges {2,3} and {3,4} sits ~1e-33 below the max:
+        # their q-power sums underflow the global rescale, so only they
+        # are recomputed with their own max; the oracle runs in longdouble
+        h = Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[2.0, 1.0, 0.5, 3.0])
+        x = np.array([1.0, 1e-20, 1e-33, 3e-34, 1e-34])
+        for rule in XiRule:
+            got = objective_gradient(h, rule, x, 10.0)
+            want = dense_gradient(h, rule, x.astype(np.longdouble), 10.0)
+            assert np.all(np.isfinite(got))
+            assert np.allclose(got, want.astype(np.float64), rtol=1e-13, atol=0)
+            want_f = float(naive_objective(h, rule, x.astype(np.longdouble), 10.0))
+            assert objective(h, rule, x, 10.0) == pytest.approx(want_f, rel=1e-13)
+            assert objective(h, rule, 1e-300 * x, 10.0) == pytest.approx(1e-300 * want_f, rel=1e-13)
 
     def test_rejects_zero_on_covered_node(self):
         h = Hypergraph(2, [[0, 1]])
@@ -301,6 +316,32 @@ class TestSolver:
         res = hypernsm(h, cfg)
         assert res.converged
         assert eigen_residual(h, RECIP, res, cfg) < 1e-8
+
+    @pytest.mark.parametrize("weight", [1e290, 1e300])
+    @pytest.mark.parametrize("p", [10.5, 10.2])
+    def test_extreme_weight_path_matches_longdouble_oracle(self, weight, p):
+        # scores fall ~1e-33 below the max off the heavy edge, so some edge
+        # q-power sums underflow a single global rescale
+        h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[weight, 1, 1, 1, 1])
+        res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=UNIT, tol=1e-14, max_iter=5000))
+        want = longdouble_fixed_point(h, UNIT, p, 10.0)
+        assert res.converged
+        assert np.max(np.abs(res.scores - want) / want) < 5e-11
+
+    def test_huge_xi_does_not_overflow(self):
+        # xi = 1e308 on one edge overflowed the gradient to NaN scores
+        h = Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[1e308, 1, 1, 1])
+        cfg = SolverConfig(p=11.0, q=10.0, xi=UNIT)
+        res = hypernsm(h, cfg)
+        assert res.converged
+        assert np.all(np.isfinite(res.scores)) and np.all(res.scores > 0)
+        assert 1e307 < res.eigenvalue < np.inf
+        assert eigen_residual(h, UNIT, res, cfg) < 1e-6 * res.eigenvalue
+        tight = dataclasses.replace(cfg, tol=1e-14, max_iter=5000)
+        res = hypernsm(h, tight)
+        want = longdouble_fixed_point(h, UNIT, 11.0, 10.0)
+        assert np.max(np.abs(res.scores - want) / want) < 5e-11
+        assert eigen_residual(h, UNIT, res, tight) < 1e-12 * res.eigenvalue
 
     def test_json_schema(self):
         h = Hypergraph(2, [[0, 1]])
