@@ -43,7 +43,6 @@ from .profiles import (
     rank_by_score,
 )
 from .ingest import (
-    SimplexStream,
     read_edge_list,
     read_label_set,
     read_simplex_stream,
@@ -83,7 +82,6 @@ __all__ = [
     "intersection_curve",
     "permuted_coordinates",
     "rank_by_score",
-    "SimplexStream",
     "read_edge_list",
     "write_edge_list",
     "read_simplex_stream",

@@ -169,8 +169,7 @@ class UmhsResult:
     def scores(self, n: int) -> np.ndarray:
         """Descending integer scores: rank position r maps to n - r."""
         s = np.zeros(n)
-        for pos, node in enumerate(self.ranking):
-            s[node] = float(n - pos)
+        s[self.ranking] = n - np.arange(len(self.ranking), dtype=np.float64)
         return s
 
 
@@ -231,10 +230,9 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
         if best is None or len(candidate) < len(best):
             best = candidate
 
-    degrees = h.degrees
-    head = sorted(best, key=lambda u: (-degrees[u], u))
-    in_set = set(best)
-    tail = sorted(
-        (u for u in range(h.n) if u not in in_set), key=lambda u: (-degrees[u], u)
-    )
+    by_degree = np.lexsort((np.arange(h.n), -h.degrees))
+    in_set = np.zeros(h.n, dtype=bool)
+    in_set[best] = True
+    head = by_degree[in_set[by_degree]].tolist()
+    tail = by_degree[~in_set[by_degree]].tolist()
     return UmhsResult(ranking=head + tail, hitting_set=head, restarts=restarts)

@@ -10,14 +10,13 @@ Subcommands:
 
 Every run writes a JSON manifest recording the resolved options, so any
 output can be reproduced later; outputs are written atomically (temp
-file + rename), never partially.  ``HYPERCP_THREADS=1`` forces the
-deterministic mode; the numeric kernels are deterministic single-thread
-code either way, so this is the mode you always get.
+file + rename), never partially.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -60,8 +59,10 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=1) + "\n")
 
 
-def _write_manifest(path: Path, subcommand: str, options: dict) -> None:
-    _write_json(path, {"subcommand": subcommand, "options": options})
+def _write_manifest(path: Path, args) -> None:
+    """Record every parsed option, so `rerun` replays each flag the parser has."""
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
+    _write_json(path, {"subcommand": args.subcommand, "options": options})
 
 
 def _resolve_xi(flag: str | None, h: Hypergraph | None) -> XiRule:
@@ -123,14 +124,10 @@ def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, 
 
 def _scores_csv(h: Hypergraph, scores: np.ndarray) -> str:
     out = io.StringIO()
-    out.write("node,label,score\n")
-    for i, s in enumerate(scores):
-        out.write(f"{i},{h.label_of(i)},{float(s)!r}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["node", "label", "score"])
+    writer.writerows([i, h.label_of(i), repr(float(s))] for i, s in enumerate(scores))
     return out.getvalue()
-
-
-def _manifest_options(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
 
 
 def cmd_generate(args) -> int:
@@ -151,8 +148,7 @@ def cmd_generate(args) -> int:
         },
     }
     _write_json(out.with_name(out.name + ".planted.json"), sidecar)
-    keys = ("n", "max_size", "q_mu", "xi", "seed", "out")
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "generate", _manifest_options(args, keys))
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args)
     print(f"wrote {h.n} nodes, {h.m} hyperedges to {out}")
     return 0
 
@@ -167,29 +163,27 @@ def cmd_detect(args) -> int:
         _atomic_write(out, _scores_csv(h, scores))
     _write_json(out.with_name(out.name + ".labels.json"),
                 {"labels": [h.label_of(i) for i in range(h.n)]})
-    keys = ("method", "input", "out", "format", "q", "p", "xi", "tol", "max_iter", "seed", "restarts")
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "detect", _manifest_options(args, keys))
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args)
     return 0
 
 
 def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
     """Scores from a `detect` output file: the JSON payload, in node
     order, or the node,label,score CSV, matched to nodes by label."""
-    with open(path) as f:
-        text = f.read()
-    lines = text.splitlines()
-    if lines[:1] != ["node,label,score"]:
-        scores = np.asarray(json.loads(text)["scores"], dtype=np.float64)
-    else:
-        try:  # node ids and float reprs hold no comma; a label may
-            rows = [line.split(",", 1)[1].rsplit(",", 1) for line in lines[1:]]
-            by_label = {label: float(score) for label, score in rows}
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}: rows must be node,label,score") from None
-        labels = [h.label_of(i) for i in range(h.n)]
-        if len(rows) != h.n or by_label.keys() != set(labels):
-            raise ValueError(f"score file rows do not match the {h.n} node labels")
-        scores = np.array([by_label[lab] for lab in labels])
+    with open(path, newline="") as f:
+        header = f.readline()
+        if header.rstrip("\r\n") != "node,label,score":
+            scores = np.asarray(json.loads(header + f.read())["scores"], dtype=np.float64)
+        else:
+            try:
+                rows = list(csv.reader(f))
+                by_label = {label: float(score) for _, label, score in rows}
+            except (csv.Error, ValueError):
+                raise ValueError(f"{path}: rows must be node,label,score") from None
+            labels = [h.label_of(i) for i in range(h.n)]
+            if len(rows) != h.n or by_label.keys() != set(labels):
+                raise ValueError(f"score file rows do not match the {h.n} node labels")
+            scores = np.array([by_label[lab] for lab in labels])
     if scores.shape != (h.n,):
         raise ValueError(f"score file has {scores.size} entries, hypergraph has {h.n} nodes")
     return scores
@@ -212,8 +206,7 @@ def cmd_profile(args) -> int:
     write_curves_csv([curve], buf)
     out = Path(args.out)
     _atomic_write(out, buf.getvalue())
-    keys = ("input", "scores", "out", "kind", "xi", "weighted", "core_file", "method_label")
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "profile", _manifest_options(args, keys))
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args)
     return 0
 
 
@@ -252,8 +245,7 @@ def cmd_compare(args) -> int:
     )
     _atomic_write(out_dir / "timings.csv", timing)
     _write_json(out_dir / "labels.json", {"labels": [h.label_of(i) for i in range(h.n)]})
-    keys = ("input", "out_dir", "core_file", "q", "p", "xi", "tol", "max_iter", "seed", "restarts")
-    _write_manifest(out_dir / "manifest.json", "compare", _manifest_options(args, keys))
+    _write_manifest(out_dir / "manifest.json", args)
     print(f"compared {len(METHODS)} methods on {args.input} -> {out_dir}")
     return 0
 

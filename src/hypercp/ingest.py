@@ -7,18 +7,17 @@ and edges by dense index.  Labels map to dense 0-based indices in
 first-appearance order and the mapping is kept on the hypergraph, so a
 reread file keeps every edge's labels and weight bytes, not its layout.
 
-Simplex streams are the three-parallel-file layout (sizes file, member
-file, optional timestamp file, one integer/label per line).  Each
-simplex becomes a hyperedge; duplicates merge into integer multiplicity
-weights, within-simplex duplicate labels collapse, and the resulting
-size-1 simplices are dropped with a reported count.  Timestamps are
-ignored.  All readers accept plain or gzip-compressed files.
+A simplex stream is two parallel files, one entry per line: the size of
+each simplex, and the member labels of all simplices concatenated.
+Each simplex becomes a hyperedge; duplicates merge into integer
+multiplicity weights, within-simplex duplicate labels collapse, and the
+resulting size-1 simplices are dropped with a logged count.  All
+readers accept plain or gzip-compressed files.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gzip
 import logging
 import math
@@ -27,12 +26,9 @@ from pathlib import Path
 from .hypergraph import Hypergraph
 
 __all__ = [
-    "SimplexStream",
     "read_edge_list",
     "write_edge_list",
     "hypergraph_to_text",
-    "load_simplex_stream",
-    "simplices_to_hypergraph",
     "read_simplex_stream",
     "read_label_set",
 ]
@@ -86,13 +82,9 @@ def read_edge_list(source) -> Hypergraph:
                 )
             if not (math.isfinite(weight) and weight > 0.0):
                 raise ValueError(f"line {lineno}: weight must be positive and finite, got {weight}")
-            for lab in labels:
-                if lab not in index:
-                    index[lab] = len(index)
-            edges.append([index[lab] for lab in labels])
+            edges.append([index.setdefault(lab, len(index)) for lab in labels])
             weights.append(weight)
-    by_index = sorted(index, key=index.get)
-    return Hypergraph(len(index), edges, weights=weights, labels=by_index)
+    return Hypergraph(len(index), edges, weights=weights, labels=list(index))
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:
@@ -119,79 +111,40 @@ def write_edge_list(h: Hypergraph, dest) -> None:
         dest.write(text)
 
 
-@dataclasses.dataclass
-class SimplexStream:
-    """Parallel simplex-stream arrays: sizes, flattened members, times."""
+def read_simplex_stream(nverts_src, simplices_src) -> Hypergraph:
+    """Read a simplex stream into a multiplicity-weighted hypergraph.
 
-    nverts: list[int]
-    flat_nodes: list[str]
-    times: list[int] | None = None
-
-    def __post_init__(self) -> None:
-        total = sum(self.nverts)
-        if total != len(self.flat_nodes):
-            raise ValueError(
-                f"simplex sizes sum to {total} but {len(self.flat_nodes)} members given"
-            )
-        if any(s < 1 for s in self.nverts):
-            raise ValueError("every simplex size must be >= 1")
-        if self.times is not None and len(self.times) != len(self.nverts):
-            raise ValueError(
-                f"{len(self.nverts)} simplices but {len(self.times)} timestamps"
-            )
-
-
-def load_simplex_stream(nverts_src, simplices_src, times_src=None) -> SimplexStream:
-    """Read the three parallel files of a simplex stream."""
+    `nverts_src` holds one simplex size per line, `simplices_src` the
+    member labels of all simplices, one per line, in the same order;
+    each is a path (``.gz`` accepted) or a file-like of text lines.
+    Each simplex is treated as a node set (duplicate labels inside a
+    simplex collapse first); identical sets merge with weight equal to
+    their multiplicity.  Simplices with a single distinct node are
+    dropped and their count is logged.
+    """
     with _open_text(nverts_src) as f:
         nverts = [int(line) for line in f if line.strip()]
     with _open_text(simplices_src) as f:
         flat = [line.strip() for line in f if line.strip()]
-    times = None
-    if times_src is not None:
-        with _open_text(times_src) as f:
-            times = [int(line) for line in f if line.strip()]
-    return SimplexStream(nverts=nverts, flat_nodes=flat, times=times)
-
-
-def simplices_to_hypergraph(stream: SimplexStream) -> tuple[Hypergraph, int]:
-    """Collapse a simplex stream to a multiplicity-weighted hypergraph.
-
-    Each simplex is treated as a node set (duplicate labels inside a
-    simplex collapse first); identical sets merge with weight equal to
-    their multiplicity.  Returns the hypergraph and the number of
-    simplices dropped for having a single distinct node.
-    """
+    total = sum(nverts)
+    if total != len(flat):
+        raise ValueError(f"simplex sizes sum to {total} but {len(flat)} members given")
+    if any(s < 1 for s in nverts):
+        raise ValueError("every simplex size must be >= 1")
     index: dict[str, int] = {}
     edges: list[list[int]] = []
     dropped = 0
     pos = 0
-    for size in stream.nverts:
-        chunk = stream.flat_nodes[pos : pos + size]
+    for size in nverts:
+        distinct = dict.fromkeys(flat[pos : pos + size])
         pos += size
-        distinct = list(dict.fromkeys(chunk))
         if len(distinct) < 2:
             dropped += 1
             continue
-        for lab in distinct:
-            if lab not in index:
-                index[lab] = len(index)
-        edges.append([index[lab] for lab in distinct])
-    by_index = sorted(index, key=index.get)
-    return Hypergraph(len(index), edges, labels=by_index), dropped
-
-
-def read_simplex_stream(nverts_src, simplices_src, times_src=None) -> Hypergraph:
-    """Read a simplex stream directly into a hypergraph.
-
-    Duplicate simplices become integer edge weights; size-1 simplices
-    are dropped (count logged); timestamps are read but ignored.
-    """
-    stream = load_simplex_stream(nverts_src, simplices_src, times_src)
-    h, dropped = simplices_to_hypergraph(stream)
+        edges.append([index.setdefault(lab, len(index)) for lab in distinct])
     if dropped:
         log.warning("dropped %d single-node simplices", dropped)
-    return h
+    return Hypergraph(len(index), edges, labels=list(index))
 
 
 def read_label_set(source, h: Hypergraph) -> tuple[list[int], list[str]]:

@@ -110,7 +110,7 @@ def intersection_curve(
         raise ValueError("planted core must be non-empty")
     if any(i < 0 or i >= scores.size for i in core):
         raise ValueError("planted core contains out-of-range node indices")
-    hits = np.cumsum([1.0 if i in core else 0.0 for i in rank_by_score(scores)])
+    hits = np.cumsum(np.isin(rank_by_score(scores), list(core)))
     values = hits / np.arange(1, scores.size + 1)
     return ProfileCurve(values=values, kind="intersection", method_label=method_label)
 

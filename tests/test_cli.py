@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypercp import Hypergraph, hypercycle, write_edge_list
-from hypercp.cli import _atomic_write, main
+from hypercp.cli import _atomic_write, build_parser, main
 
 from helpers import random_hypergraph
 
@@ -77,6 +77,16 @@ class TestDetect:
         lines = out.read_text().splitlines()
         assert lines[0] == "node,label,score"
         assert len(lines) == 29
+
+    def test_csv_quotes_labels(self, tmp_path):
+        h = Hypergraph(4, [[0, 1, 2], [2, 3]], labels=["c,1", 'a"b', "x", "y"])
+        graph, out = tmp_path / "h.txt", tmp_path / "s.csv"
+        write_edge_list(h, graph)
+        assert run(["detect", "--input", graph, "--out", out, "--format", "csv"]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert all(len(row) == 3 for row in rows)
+        assert [row[1] for row in rows[1:]] == h.labels
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code = run(["detect", "--input", tmp_path / "nope.txt", "--out", tmp_path / "o.json"])
@@ -226,3 +236,22 @@ class TestCompare:
         run(["compare", "--input", hypercycle_file, "--out-dir", out_dir, "--core-file", core])
         curves = read_curves(out_dir / "intersection.csv")
         assert curves["hypernsm"][:5] == [1.0] * 5
+
+
+def test_manifest_records_every_parser_option(hypercycle_file, tmp_path):
+    # rerun replays the manifest's options, so a flag it misses is lost on replay
+    scores = tmp_path / "s.json"
+    runs = {
+        "generate": (["--n", 6, "--max-size", 3, "--out", tmp_path / "g.txt"], "g.txt.manifest.json"),
+        "detect": (["--input", hypercycle_file, "--out", scores], "s.json.manifest.json"),
+        "profile": (["--input", hypercycle_file, "--scores", scores, "--out", tmp_path / "p.csv"],
+                    "p.csv.manifest.json"),
+        "compare": (["--input", hypercycle_file, "--out-dir", tmp_path / "cmp"], "cmp/manifest.json"),
+    }
+    subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    assert set(subparsers) == set(runs) | {"rerun"}
+    for sub, (flags, manifest) in runs.items():
+        assert run([sub, *flags]) == 0
+        options = json.loads((tmp_path / manifest).read_text())["options"]
+        dests = [a.dest for a in subparsers[sub]._actions if a.dest != "help"]
+        assert list(options) == dests, sub

@@ -1,5 +1,6 @@
 import gzip
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercp import Hypergraph, read_edge_list, read_simplex_stream, write_edge_list
-from hypercp.ingest import (
-    SimplexStream,
-    hypergraph_to_text,
-    load_simplex_stream,
-    read_label_set,
-    simplices_to_hypergraph,
-)
+from hypercp.ingest import hypergraph_to_text, read_label_set
 
 from helpers import canonical_incidence, random_hypergraph
 
@@ -102,33 +97,44 @@ class TestRoundTrip:
         assert read_edge_list(path).edges_by_label() == h.edges_by_label()
 
 
+def simplex_stream(nverts, flat_nodes) -> Hypergraph:
+    """Read a simplex stream given as in-memory sizes and member labels."""
+    return read_simplex_stream(
+        io.StringIO("".join(f"{size}\n" for size in nverts)),
+        io.StringIO("".join(f"{label}\n" for label in flat_nodes)),
+    )
+
+
+def dropped_count(caplog) -> int:
+    """Single-node simplices the reader logged as dropped (0 if none)."""
+    counts = [re.fullmatch(r"dropped (\d+) single-node simplices", r.getMessage())
+              for r in caplog.records if r.name == "hypercp.ingest"]
+    assert all(counts)
+    return sum(int(c.group(1)) for c in counts)
+
+
 class TestSimplexStream:
-    def test_duplicate_simplices_merge(self):
-        stream = SimplexStream(nverts=[2, 2], flat_nodes=["1", "2", "2", "1"])
-        h, dropped = simplices_to_hypergraph(stream)
-        assert dropped == 0
+    def test_duplicate_simplices_merge(self, caplog):
+        h = simplex_stream([2, 2], ["1", "2", "2", "1"])
+        assert dropped_count(caplog) == 0
         assert h.m == 1
         assert h.weights.tolist() == [2.0]
 
-    def test_singletons_dropped(self):
-        stream = SimplexStream(nverts=[3, 1], flat_nodes=["1", "2", "3", "4"])
-        h, dropped = simplices_to_hypergraph(stream)
-        assert dropped == 1
+    def test_singletons_dropped(self, caplog):
+        h = simplex_stream([3, 1], ["1", "2", "3", "4"])
+        assert dropped_count(caplog) == 1
         assert h.m == 1 and len(h.edges[0]) == 3
 
-    def test_within_simplex_duplicates_collapse(self):
-        stream = SimplexStream(nverts=[3], flat_nodes=["5", "5", "5"])
-        h, dropped = simplices_to_hypergraph(stream)
-        assert dropped == 1
+    def test_within_simplex_duplicates_collapse(self, caplog):
+        h = simplex_stream([3], ["5", "5", "5"])
+        assert dropped_count(caplog) == 1
         assert h.m == 0
 
     def test_multiplicity_weight(self):
-        flat = ["a", "b"] * 7
-        stream = SimplexStream(nverts=[2] * 7, flat_nodes=flat)
-        h, _ = simplices_to_hypergraph(stream)
+        h = simplex_stream([2] * 7, ["a", "b"] * 7)
         assert h.weights.tolist() == [7.0]
 
-    def test_weight_sum_counts_simplices(self):
+    def test_weight_sum_counts_simplices(self, caplog):
         rng = np.random.default_rng(3)
         nverts, flat = [], []
         big = 0
@@ -138,9 +144,9 @@ class TestSimplexStream:
             flat.extend(str(x) for x in rng.choice(20, size=size, replace=False))
             if size >= 2:
                 big += 1
-        h, dropped = simplices_to_hypergraph(SimplexStream(nverts=nverts, flat_nodes=flat))
+        h = simplex_stream(nverts, flat)
         assert float(h.weights.sum()) == float(big)
-        assert dropped == 50 - big
+        assert dropped_count(caplog) == 50 - big
 
     def test_order_independence(self):
         rng = np.random.default_rng(4)
@@ -148,33 +154,30 @@ class TestSimplexStream:
         perm = [simplices[i] for i in rng.permutation(4)]
 
         def to_h(sims):
-            stream = SimplexStream(
-                nverts=[len(s) for s in sims],
-                flat_nodes=[x for s in sims for x in s],
-            )
-            return simplices_to_hypergraph(stream)[0]
+            return simplex_stream([len(s) for s in sims], [x for s in sims for x in s])
 
         assert to_h(simplices).edges_by_label() == to_h(perm).edges_by_label()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="members"):
-            SimplexStream(nverts=[2, 2], flat_nodes=["1", "2", "3"])
+            simplex_stream([2, 2], ["1", "2", "3"])
 
-    def test_file_reader(self, tmp_path):
+    def test_file_reader(self, tmp_path, caplog):
         (tmp_path / "nverts.txt").write_text("2\n3\n1\n")
         (tmp_path / "simplices.txt").write_text("10\n11\n10\n11\n12\n99\n")
-        (tmp_path / "times.txt").write_text("7\n8\n9\n")
-        h = read_simplex_stream(
-            tmp_path / "nverts.txt", tmp_path / "simplices.txt", tmp_path / "times.txt"
-        )
+        h = read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
         assert h.m == 2
         assert h.n == 3  # '99' only appears in the dropped singleton
+        assert dropped_count(caplog) == 1
 
     def test_stream_loader_validates(self, tmp_path):
         (tmp_path / "nverts.txt").write_text("2\n2\n")
         (tmp_path / "simplices.txt").write_text("1\n2\n3\n")
         with pytest.raises(ValueError, match="members"):
-            load_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
+            read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
+        (tmp_path / "nverts.txt").write_text("3\n0\n")
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
 
 
 class TestLabelSet:
@@ -225,3 +228,23 @@ def test_write_read_write_keeps_bytes_and_structure(case, scale):
                       for line in t.splitlines())
     text2 = hypergraph_to_text(h2)
     assert lines(text2) == lines(text)
+
+
+# labels the text format can hold: no whitespace or '#', no leading '%'
+_LABEL = st.text(alphabet='abc,"%1', min_size=1, max_size=3).filter(
+    lambda lab: not lab.startswith("%"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_LABEL, min_size=2, max_size=6).filter(lambda row: len(set(row)) >= 2),
+                max_size=25))
+def test_edge_list_and_simplex_stream_agree(rows):
+    # one simplex per line: both readers intern labels by first appearance,
+    # collapse repeated labels in a row and count repeated rows as weight
+    from_text = read_edge_list(io.StringIO("".join(" ".join(row) + "\n" for row in rows)))
+    from_stream = simplex_stream([len(row) for row in rows], [lab for row in rows for lab in row])
+    assert from_stream.n == from_text.n
+    assert from_stream.labels == from_text.labels
+    assert from_stream.offsets.tolist() == from_text.offsets.tolist()
+    assert from_stream.members.tolist() == from_text.members.tolist()
+    assert from_stream.weights.tolist() == from_text.weights.tolist()
