@@ -25,15 +25,7 @@ from .generator import (
     mle_objective,
     sample,
 )
-from .baselines import (
-    UmhsResult,
-    WeightedGraph,
-    borgatti_everett,
-    clique_expansion,
-    graph_nsm,
-    two_uniform_hypergraph,
-    umhs,
-)
+from .baselines import UmhsResult, borgatti_everett, clique_expansion, graph_nsm, umhs
 from .profiles import (
     ProfileCurve,
     intersection_curve,
@@ -69,9 +61,7 @@ __all__ = [
     "edge_probability",
     "mle_objective",
     "hypercycle",
-    "WeightedGraph",
     "clique_expansion",
-    "two_uniform_hypergraph",
     "graph_nsm",
     "borgatti_everett",
     "umhs",

@@ -1,10 +1,12 @@
 """Comparison detectors that work on flattened or set-cover views.
 
-Three baselines accompany the hypergraph solver: the weighted clique
-expansion plus the graph variant of the nonlinear spectral method, the
-classic linear dominant-eigenvector score, and a greedy union-of-minimal
--hitting-sets ranking.  The expansion replaces every hyperedge with a
-clique, which is quadratic in the edge size, hence the pair budget.
+Three baselines accompany the hypergraph solver: the graph variant of
+the nonlinear spectral method and the classic linear dominant-eigenvector
+score, both run on the weighted clique expansion, and a greedy
+union-of-minimal-hitting-sets ranking.  A graph is a `Hypergraph` whose
+edges all have two nodes and is its own clique expansion.  The expansion
+replaces every hyperedge with a clique, quadratic in the edge size,
+hence the pair budget.
 """
 
 from __future__ import annotations
@@ -18,47 +20,13 @@ from .hypergraph import Hypergraph, XiRule, row_indices
 from .solver import SolverConfig, SolverResult, hypernsm
 
 __all__ = [
-    "WeightedGraph",
     "PowerIterationResult",
     "UmhsResult",
     "clique_expansion",
-    "two_uniform_hypergraph",
     "graph_nsm",
     "borgatti_everett",
     "umhs",
 ]
-
-
-class WeightedGraph:
-    """Symmetric nonnegative adjacency with zero diagonal."""
-
-    def __init__(self, n: int, adjacency: sp.spmatrix) -> None:
-        a = sp.csr_matrix(adjacency, dtype=np.float64, shape=(n, n))
-        a.eliminate_zeros()
-        if (a != a.T).nnz != 0:
-            raise ValueError("adjacency must be exactly symmetric")
-        if a.diagonal().any():
-            raise ValueError("adjacency must have zero diagonal")
-        if a.nnz and a.data.min() <= 0.0:
-            raise ValueError("stored adjacency entries must be positive")
-        self.n = int(n)
-        self.adjacency = a
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "WeightedGraph":
-        """Build from (i, j, weight) triples; duplicates are summed."""
-        rows, cols, data = [], [], []
-        for i, j, w in pairs:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            rows += [i, j]
-            cols += [j, i]
-            data += [w, w]
-        a = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-        return cls(n, a.tocsr())
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(n={self.n}, nnz={self.adjacency.nnz})"
 
 
 @dataclasses.dataclass
@@ -73,12 +41,10 @@ class PowerIterationResult:
     to_json_dict = SolverResult.to_json_dict
 
 
-def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> WeightedGraph:
-    """Flatten a hypergraph to a weighted graph.
-
-    The weight of pair {i, j} is the total weight of hyperedges
-    containing both.  Each edge of size s expands into s*(s-1)/2 pairs,
-    so the cost is guarded by `pair_budget`.
+def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000) -> sp.csr_matrix:
+    """Symmetric clique-expansion adjacency with zero diagonal: entry (i, j)
+    is the total weight of the hyperedges containing both nodes.  An edge
+    of size s gives s*(s-1)/2 pairs, so the cost is guarded by `pair_budget`.
     """
     sizes = h.sizes.astype(np.int64)
     pair_count = int(np.sum(sizes * (sizes - 1) // 2))
@@ -91,37 +57,35 @@ def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> WeightedGr
     a = (h.incidence.T @ sp.diags(h.weights) @ h.incidence).tocsr()
     a.setdiag(0.0)
     a.eliminate_zeros()
-    return WeightedGraph(h.n, a)
+    return a
 
 
-def two_uniform_hypergraph(g: WeightedGraph) -> Hypergraph:
-    """View a weighted graph as a hypergraph of size-2 edges."""
-    coo = sp.triu(g.adjacency, k=1).tocoo()
-    edges = [[int(i), int(j)] for i, j in zip(coo.row, coo.col)]
-    return Hypergraph(g.n, edges, weights=coo.data.tolist())
+def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> Hypergraph:
+    """Flatten a hypergraph to the 2-uniform hypergraph of its clique
+    expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
+    the total weight of the hyperedges containing both."""
+    pairs = sp.triu(_clique_adjacency(h, pair_budget), k=1).tocoo()
+    return Hypergraph(h.n, np.column_stack([pairs.row, pairs.col]).tolist(), weights=pairs.data)
 
 
-def graph_nsm(g: WeightedGraph, cfg: SolverConfig | None = None) -> SolverResult:
-    """Nonlinear spectral scores of a flattened graph.
+def graph_nsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
+    """Nonlinear spectral scores of the clique expansion of h.
 
-    Runs the hypergraph solver on the size-2 view of g with the UNIT
-    scaling rule, so each pair contributes its adjacency weight times
-    the pair q-norm; on 2-uniform inputs this is the same optimization
-    the hypergraph solver performs.  cfg.xi is ignored.
+    Runs the hypergraph solver on the expansion with the UNIT scaling
+    rule, so each pair contributes its weight times the pair q-norm; on
+    2-uniform inputs this is the same optimization the hypergraph solver
+    performs.  cfg.xi is ignored.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    cfg = dataclasses.replace(cfg, xi=XiRule.UNIT)
-    return hypernsm(two_uniform_hypergraph(g), cfg)
+    return hypernsm(clique_expansion(h), dataclasses.replace(cfg or SolverConfig(), xi=XiRule.UNIT))
 
 
 def borgatti_everett(
-    g: WeightedGraph,
+    h: Hypergraph,
     tol: float = 1e-8,
     max_iter: int = 1000,
     seed: int = 0,
 ) -> PowerIterationResult:
-    """Dominant-eigenvector core scores via power iteration.
+    """Dominant-eigenvector core scores of the clique expansion, by power iteration.
 
     Purely linear: no entrywise powers.  Iterates on the adjacency plus
     a positive diagonal shift, which leaves the dominant eigenvector of
@@ -129,13 +93,13 @@ def borgatti_everett(
     when the spectrum is symmetric (bipartite expansions).  Scores are
     nonnegative with unit 2-norm; non-convergence is flagged.
     """
-    if g.adjacency.nnz == 0:
+    a = _clique_adjacency(h)
+    if a.nnz == 0:
         raise ValueError("graph has no edges")
-    a = g.adjacency
     shift = 0.5 * float(np.max(a.sum(axis=1)))
 
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.5, 1.5, size=g.n)
+    x = rng.uniform(0.5, 1.5, size=h.n)
     x /= np.linalg.norm(x)
 
     converged = False

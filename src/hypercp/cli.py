@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import borgatti_everett, clique_expansion, graph_nsm, umhs
+from .baselines import borgatti_everett, graph_nsm, umhs
 from .generator import GeneratorConfig, sample
 from .hypergraph import Hypergraph, XiRule
-from .ingest import read_edge_list, read_label_set, write_edge_list, hypergraph_to_text
+from .ingest import read_edge_list, read_label_set, write_edge_list
 from .profiles import intersection_curve, profile_curve, write_curves_csv
 from .solver import SolverConfig, hypernsm
 
@@ -101,15 +101,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, int]:
     """Run one method; returns (json payload, scores, iteration count)."""
     cfg = _solver_config(args, h)
-    if method == "hypernsm":
-        res = hypernsm(h, cfg)
-        return res.to_json_dict(), res.scores, res.iterations
-    if method == "graphnsm":
-        res = graph_nsm(clique_expansion(h), cfg)
-        return res.to_json_dict(), res.scores, res.iterations
-    if method == "borgatti-everett":
-        res = borgatti_everett(clique_expansion(h), tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-        return res.to_json_dict(), res.scores, res.iterations
     if method == "umhs":
         res = umhs(h, restarts=args.restarts, seed=args.seed)
         scores = res.scores(h.n)
@@ -119,7 +110,15 @@ def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, 
             "set_size": res.set_size,
         }
         return payload, scores, 1
-    raise ValueError(f"unknown method {method!r}")
+    if method == "hypernsm":
+        res = hypernsm(h, cfg)
+    elif method == "graphnsm":
+        res = graph_nsm(h, cfg)
+    elif method == "borgatti-everett":
+        res = borgatti_everett(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return res.to_json_dict(), res.scores, res.iterations
 
 
 def _scores_csv(h: Hypergraph, scores: np.ndarray) -> str:
@@ -189,6 +188,14 @@ def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
     return scores
 
 
+def _read_core(path: str, h: Hypergraph) -> list[int]:
+    """Node ids of the labels in a core file; warns about unknown labels."""
+    core, missing = read_label_set(path, h)
+    if missing:
+        print(f"warning: {len(missing)} core labels not in hypergraph", file=sys.stderr)
+    return core
+
+
 def cmd_profile(args) -> int:
     h = read_edge_list(args.input)
     scores = _load_scores(args.scores, h)
@@ -198,9 +205,7 @@ def cmd_profile(args) -> int:
     else:
         if not args.core_file:
             raise ValueError("--kind intersection requires --core-file")
-        core, missing = read_label_set(args.core_file, h)
-        if missing:
-            print(f"warning: {len(missing)} core labels not in hypergraph", file=sys.stderr)
+        core = _read_core(args.core_file, h)
         curve = intersection_curve(scores, core, method_label=args.method_label)
     buf = io.StringIO()
     write_curves_csv([curve], buf)
@@ -215,11 +220,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    core = None
-    if args.core_file:
-        core, missing = read_label_set(args.core_file, h)
-        if missing:
-            print(f"warning: {len(missing)} core labels not in hypergraph", file=sys.stderr)
+    core = _read_core(args.core_file, h) if args.core_file else None
 
     gamma_curves, iota_curves, timing_rows = [], [], []
     for method in METHODS:

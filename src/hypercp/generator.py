@@ -21,7 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi, xi_vector
+from .hypergraph import Hypergraph, XiRule, edge_xi
+from .solver import objective
 
 __all__ = [
     "GeneratorConfig",
@@ -150,15 +151,14 @@ def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, 
 def mle_objective(h: Hypergraph, perm, xi: XiRule, q_mu: float) -> float:
     """Ordering score whose maximizer is the model's maximum-likelihood fit.
 
-    Sum over present edges of xi(e) times the coreness of the edge under
-    the candidate ranks (perm[i] = rank of node i, 1-based bijection).
+    The solver's objective at x = (n - rank) / n with q = q_mu: the sum
+    over present edges of xi(e) times the edge's coreness under the
+    candidate ranks (perm[i] = rank of node i, 1-based bijection).
     """
     ranks = np.asarray(perm, dtype=np.int64)
     if sorted(ranks.tolist()) != list(range(1, h.n + 1)):
         raise ValueError("perm must be a bijection on {1..n}")
-    core_term = ((h.n - ranks[h.members].astype(np.float64)) / h.n) ** q_mu
-    mu = np.add.reduceat(core_term, h.offsets[:-1]) ** (1.0 / q_mu) if h.m else np.empty(0)
-    return float(np.sum(xi_vector(h, xi) * mu))
+    return objective(h, xi, (h.n - ranks) / h.n, q_mu)
 
 
 def hypercycle(sizes: tuple[int, ...] = (3, 4, 5, 6, 15)) -> tuple[Hypergraph, list[int]]:

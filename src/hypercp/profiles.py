@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .baselines import WeightedGraph
+from .baselines import clique_expansion
 from .hypergraph import Hypergraph, XiRule, xi_vector
 
 __all__ = [
@@ -116,26 +116,26 @@ def intersection_curve(
 
 
 def permuted_coordinates(
-    g: WeightedGraph, scores: np.ndarray
+    h: Hypergraph, scores: np.ndarray
 ) -> list[tuple[int, int, float]]:
-    """Adjacency nonzeros reindexed by descending-score rank.
+    """Clique-expansion adjacency nonzeros reindexed by descending-score rank.
 
     Row/column r is the node with the (r+1)-th largest score, so a good
-    core ordering concentrates weight in the low-index corner.  Output
-    is sorted by (row, col); rendering is up to the consumer.
+    core ordering concentrates weight in the low-index corner.  Both
+    orientations of each pair are listed, sorted by (row, col);
+    rendering is up to the consumer.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (g.n,):
-        raise ValueError(f"scores must have length {g.n}, got shape {scores.shape}")
-    position = np.empty(g.n, dtype=np.int64)
-    position[rank_by_score(scores)] = np.arange(g.n)
-    coo = g.adjacency.tocoo()
-    triples = [
-        (int(position[i]), int(position[j]), float(v))
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    triples.sort(key=lambda t: (t[0], t[1]))
-    return triples
+    if scores.shape != (h.n,):
+        raise ValueError(f"scores must have length {h.n}, got shape {scores.shape}")
+    position = np.empty(h.n, dtype=np.int64)
+    position[rank_by_score(scores)] = np.arange(h.n)
+    g = clique_expansion(h)
+    pairs = position[g.members].reshape(-1, 2)
+    rows, cols = np.r_[pairs[:, 0], pairs[:, 1]], np.r_[pairs[:, 1], pairs[:, 0]]
+    order = np.lexsort((cols, rows))
+    weights = np.tile(g.weights, 2)[order]
+    return list(zip(rows[order].tolist(), cols[order].tolist(), weights.tolist()))
 
 
 def write_curves_csv(curves: list[ProfileCurve], dest) -> None:

@@ -29,6 +29,7 @@ are recomputed with their own max entry as the scale.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -45,6 +46,8 @@ __all__ = [
     "eigen_residual",
     "thompson_distance",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,7 +217,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     when the relative 2-norm change of consecutive iterates drops below
     cfg.tol.  Isolated nodes are excluded from the iteration and pinned
     to score 0.  Non-convergence within cfg.max_iter is flagged on the
-    result, not raised.
+    result, not raised, and so is a non-isolated node whose score
+    underflowed to 0 (with a logged count).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -246,15 +250,19 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         x_next = (y / _pnorm(y, pstar)) ** (1.0 / (p - 1.0))
         diff = float(np.linalg.norm(x_next - x) / np.linalg.norm(x))
         residuals.append(diff)
-        step_distances.append(
-            float(np.max(np.abs(np.log(x_next[active]) - np.log(x[active]))))
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed score logs -inf
+            step_distances.append(
+                float(np.max(np.abs(np.log(x_next[active]) - np.log(x[active]))))
+            )
         x = x_next
         if diff < cfg.tol:
             converged = True
             break
 
     x = x / _pnorm(x, p)
+    if underflowed := int(np.count_nonzero(x[active] == 0.0)):
+        converged = False
+        log.warning("%d non-isolated node scores underflowed to 0", underflowed)
     lam = float(np.ldexp(_pnorm(_gradient(h, xi_vec, x, q), pstar), xi_exp))
     contraction_trace = [
         d1 / d0 for d0, d1 in zip(step_distances, step_distances[1:]) if d0 > 0.0

@@ -17,7 +17,6 @@ from hypercp import (
     GeneratorConfig,
     Hypergraph,
     SolverConfig,
-    WeightedGraph,
     XiRule,
     borgatti_everett,
     clique_expansion,
@@ -247,9 +246,8 @@ def test_criterion_09_two_uniform_equivalence():
         weights = rng.uniform(0.5, 3.0, size=len(pairs))
 
         h = Hypergraph(30, [list(p) for p in pairs], weights=weights.tolist())
-        g = WeightedGraph.from_pairs(30, [(a, b, w) for (a, b), w in zip(pairs, weights)])
         direct = hypernsm(h, SolverConfig(xi=XiRule.UNIT))
-        via_graph = graph_nsm(g, SolverConfig())
+        via_graph = graph_nsm(h, SolverConfig())
         worst = max(worst, float(np.max(np.abs(direct.scores - via_graph.scores))))
         rescaled = hypernsm(h, SolverConfig(xi=XiRule.WEIGHTED_RECIPROCAL))
         worst = max(worst, float(np.max(np.abs(rescaled.scores - via_graph.scores))))

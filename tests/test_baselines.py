@@ -2,69 +2,56 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercp import (
     Hypergraph,
     SolverConfig,
-    WeightedGraph,
     XiRule,
     borgatti_everett,
     clique_expansion,
     graph_nsm,
     hypernsm,
-    two_uniform_hypergraph,
     umhs,
 )
 
-from helpers import is_hitting_set, is_minimal_hitting_set, random_hypergraph
+from helpers import dense_incidence, is_hitting_set, is_minimal_hitting_set, random_hypergraph
 
 
-def star_graph(m: int) -> WeightedGraph:
-    return WeightedGraph.from_pairs(m + 1, [(0, i, 1.0) for i in range(1, m + 1)])
+def star_graph(m: int) -> Hypergraph:
+    return Hypergraph(m + 1, [[0, i] for i in range(1, m + 1)])
 
 
-class TestWeightedGraph:
-    def test_rejects_asymmetric(self):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            WeightedGraph(2, a)
-
-    def test_rejects_diagonal(self):
-        a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="diagonal"):
-            WeightedGraph(2, a)
-
-    def test_rejects_negative(self):
-        a = sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(ValueError, match="positive"):
-            WeightedGraph(2, a)
-
-    def test_from_pairs_sums_duplicates(self):
-        g = WeightedGraph.from_pairs(3, [(0, 1, 1.0), (1, 0, 2.0)])
-        assert g.adjacency[0, 1] == 3.0
-        assert g.adjacency[1, 0] == 3.0
+def dense_clique_adjacency(h: Hypergraph) -> np.ndarray:
+    """B diag(w) B^T with its diagonal zeroed, B the dense node-by-edge incidence."""
+    b = dense_incidence(h)
+    a = b @ np.diag(h.weights) @ b.T
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 class TestCliqueExpansion:
     def test_triangle_from_single_edge(self):
         h = Hypergraph(3, [[0, 1, 2]])
         g = clique_expansion(h)
+        adjacency = dict(zip(g.edges, g.weights))
         for i, j in itertools.combinations(range(3), 2):
-            assert g.adjacency[i, j] == 1.0
-        assert g.adjacency.nnz == 6
+            assert adjacency[i, j] == 1.0
+        assert len(adjacency) == 3
 
     def test_merged_edge_weight(self):
         h = Hypergraph(2, [[0, 1], [1, 0]])
         g = clique_expansion(h)
-        assert g.adjacency[0, 1] == 2.0
+        assert dict(zip(g.edges, g.weights))[0, 1] == 2.0
 
     def test_identity_on_graphs(self):
         rng = np.random.default_rng(1)
         h = random_hypergraph(rng, 10, 15, smin=2, smax=2, weighted=True)
         g = clique_expansion(h)
+        adjacency = dict(zip(g.edges, g.weights))
         for e, w in zip(h.edges, h.weights):
-            assert g.adjacency[e[0], e[1]] == pytest.approx(w)
+            assert adjacency[e[0], e[1]] == pytest.approx(w)
 
     def test_total_weight_identity(self):
         rng = np.random.default_rng(2)
@@ -73,8 +60,22 @@ class TestCliqueExpansion:
             g = clique_expansion(h)
             sizes = h.sizes
             want = float(np.sum(h.weights * sizes * (sizes - 1) / 2))
-            got = float(sp.triu(g.adjacency, k=1).sum())
+            got = float(g.weights.sum())
             assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), m=st.integers(0, 15))
+    def test_matches_dense_reference_and_is_idempotent(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, n, m, smax=min(n, 5), cover_all=False, weighted=True)
+        g = clique_expansion(h)
+        assert set(g.sizes.tolist()) <= {2}
+        want = dense_clique_adjacency(h)
+        got = np.zeros((n, n))
+        for (i, j), w in zip(g.edges, g.weights):
+            got[i, j] = got[j, i] = w
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert clique_expansion(g) == g
 
     def test_pair_budget(self):
         h = Hypergraph(30, [list(range(30))])
@@ -129,7 +130,7 @@ class TestBorgattiEverett:
             h = random_hypergraph(rng, n, 2 * n, smax=4, weighted=True)
             g = clique_expansion(h)
             res = borgatti_everett(g, tol=1e-12, max_iter=20000)
-            dense = g.adjacency.toarray()
+            dense = dense_clique_adjacency(h)
             vals, vecs = np.linalg.eigh(dense)
             lead = np.abs(vecs[:, -1])
             assert res.converged
@@ -137,9 +138,9 @@ class TestBorgattiEverett:
             assert res.eigenvalue == pytest.approx(vals[-1], rel=1e-8)
 
     def test_disconnected_mass_on_larger_clique(self):
-        pairs = [(i, j, 1.0) for i, j in itertools.combinations(range(5), 2)]
-        pairs += [(i, j, 1.0) for i, j in itertools.combinations(range(5, 8), 2)]
-        g = WeightedGraph.from_pairs(8, pairs)
+        pairs = list(itertools.combinations(range(5), 2))
+        pairs += list(itertools.combinations(range(5, 8), 2))
+        g = Hypergraph(8, pairs)
         res = borgatti_everett(g, tol=1e-12, max_iter=20000)
         assert res.scores[:5].min() > 100 * res.scores[5:].max()
 
@@ -154,13 +155,13 @@ class TestBorgattiEverett:
         h = random_hypergraph(rng, 15, 30, weighted=True)
         g = clique_expansion(h)
         a = borgatti_everett(g, tol=1e-12, max_iter=20000)
-        g2 = WeightedGraph(g.n, g.adjacency * 37.5)
+        g2 = Hypergraph(g.n, g.edges, weights=g.weights * 37.5)
         b = borgatti_everett(g2, tol=1e-12, max_iter=20000)
         assert np.allclose(a.scores, b.scores, atol=1e-8)
         assert np.array_equal(np.argsort(a.scores), np.argsort(b.scores))
 
     def test_empty_graph_rejected(self):
-        g = WeightedGraph(3, sp.csr_matrix((3, 3)))
+        g = Hypergraph(3, [])
         with pytest.raises(ValueError, match="no edges"):
             borgatti_everett(g)
 
@@ -238,6 +239,5 @@ class TestTwoUniform:
     def test_round_trip_with_expansion(self):
         rng = np.random.default_rng(12)
         h = random_hypergraph(rng, 10, 18, smin=2, smax=2, weighted=True)
-        g = clique_expansion(h)
-        h2 = two_uniform_hypergraph(g)
+        h2 = clique_expansion(h)
         assert h2 == Hypergraph(10, [list(e) for e in h.edges], weights=h.weights.tolist())

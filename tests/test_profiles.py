@@ -162,17 +162,13 @@ class TestRanking:
 
 class TestPermutedCoordinates:
     def test_star_concentrates_on_first_row(self):
-        from hypercp import WeightedGraph
-
-        g = WeightedGraph.from_pairs(5, [(0, i, 1.0) for i in range(1, 5)])
+        g = Hypergraph(5, [[0, i] for i in range(1, 5)])
         scores = np.array([10.0, 1.0, 2.0, 3.0, 4.0])
         triples = permuted_coordinates(g, scores)
         assert all(r == 0 or c == 0 for r, c, _ in triples)
 
     def test_identity_scores_keep_coordinates(self):
-        from hypercp import WeightedGraph
-
-        g = WeightedGraph.from_pairs(4, [(0, 1, 2.0), (2, 3, 1.0)])
+        g = Hypergraph(4, [[0, 1], [2, 3]], weights=[2.0, 1.0])
         scores = np.array([4.0, 3.0, 2.0, 1.0])
         triples = permuted_coordinates(g, scores)
         assert triples == [(0, 1, 2.0), (1, 0, 2.0), (2, 3, 1.0), (3, 2, 1.0)]

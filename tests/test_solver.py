@@ -343,6 +343,17 @@ class TestSolver:
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
         assert eigen_residual(h, UNIT, res, tight) < 1e-12 * res.eigenvalue
 
+    @pytest.mark.parametrize("p", [11.0, 10.5])
+    def test_underflowed_score_flagged(self, p, caplog):
+        # node 3 hangs off a 1e-200 edge: its score underflows to exactly 0,
+        # which used to come back with converged=True
+        h = Hypergraph(4, [[0, 1], [1, 2], [2, 3]], weights=[1, 1, 1e-200])
+        res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=UNIT))
+        assert res.scores[3] == 0.0
+        assert not res.converged
+        messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
+        assert messages == ["1 non-isolated node scores underflowed to 0"]
+
     def test_json_schema(self):
         h = Hypergraph(2, [[0, 1]])
         d = hypernsm(h, SolverConfig()).to_json_dict()
