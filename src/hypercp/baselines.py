@@ -20,25 +20,12 @@ from .hypergraph import Hypergraph, XiRule, row_indices
 from .solver import SolverConfig, SolverResult, hypernsm
 
 __all__ = [
-    "PowerIterationResult",
     "UmhsResult",
     "clique_expansion",
     "graph_nsm",
     "borgatti_everett",
     "umhs",
 ]
-
-
-@dataclasses.dataclass
-class PowerIterationResult:
-    scores: np.ndarray
-    iterations: int
-    converged: bool
-    eigenvalue: float
-
-    # same JSON layout as the nonlinear solver; power iteration keeps no trace
-    residual_trace = ()
-    to_json_dict = SolverResult.to_json_dict
 
 
 def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000) -> sp.csr_matrix:
@@ -84,18 +71,22 @@ def borgatti_everett(
     tol: float = 1e-8,
     max_iter: int = 1000,
     seed: int = 0,
-) -> PowerIterationResult:
+) -> SolverResult:
     """Dominant-eigenvector core scores of the clique expansion, by power iteration.
 
     Purely linear: no entrywise powers.  Iterates on the adjacency plus
     a positive diagonal shift, which leaves the dominant eigenvector of
     a nonnegative symmetric matrix unchanged but guarantees convergence
     when the spectrum is symmetric (bipartite expansions).  Scores are
-    nonnegative with unit 2-norm; non-convergence is flagged.
+    nonnegative with unit 2-norm; non-convergence is flagged.  The
+    result keeps no traces.
     """
     a = _clique_adjacency(h)
     if a.nnz == 0:
         raise ValueError("graph has no edges")
+    # dividing by a power of two is exact and keeps the norms from overflowing
+    a_exp = int(np.frexp(a.data.max())[1])
+    a.data = np.ldexp(a.data, -a_exp)
     shift = 0.5 * float(np.max(a.sum(axis=1)))
 
     rng = np.random.default_rng(seed)
@@ -112,10 +103,8 @@ def borgatti_everett(
         if diff < tol:
             converged = True
             break
-    lam = float(x @ (a @ x))
-    return PowerIterationResult(
-        scores=x, iterations=iterations, converged=converged, eigenvalue=lam
-    )
+    lam = float(np.ldexp(x @ (a @ x), a_exp))
+    return SolverResult(x, lam, iterations, converged, residual_trace=[], contraction_trace=[])
 
 
 @dataclasses.dataclass

@@ -35,7 +35,7 @@ from .profiles import intersection_curve, profile_curve, write_curves_csv
 from .solver import SolverConfig, hypernsm
 
 METHODS = ("hypernsm", "graphnsm", "borgatti-everett", "umhs")
-_XI_FLAGS = {"reciprocal": XiRule.RECIPROCAL, "weighted": XiRule.WEIGHTED_RECIPROCAL, "unit": XiRule.UNIT}
+_XI_FLAGS = {rule.value: rule for rule in XiRule}
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -62,8 +62,9 @@ class GeneratorConfig:
                 raise ValueError("planted_perm must be a bijection on {1..n}")
 
 
-def edge_coreness(ranks, n: int, q: float) -> float:
-    """Smooth coreness of an edge: q-norm of (n - rank)/n over its ranks.
+def edge_coreness(ranks, n: int, q: float):
+    """Smooth coreness of an edge: q-norm of (n - rank)/n over its ranks,
+    along the last axis (one value per row of a 2-D array of edges).
 
     Large when the edge contains at least one low rank (core node);
     approaches max over the edge of (n - rank)/n as q grows.
@@ -71,15 +72,15 @@ def edge_coreness(ranks, n: int, q: float) -> float:
     r = np.asarray(ranks, dtype=np.float64)
     if np.any(r < 1) or np.any(r > n):
         raise ValueError(f"ranks must lie in 1..{n}")
-    return float(np.sum(((n - r) / n) ** q) ** (1.0 / q))
+    return np.sum(((n - r) / n) ** q, axis=-1) ** (1.0 / q)
 
 
-def edge_probability(ranks, cfg: GeneratorConfig) -> float:
-    """Inclusion probability sigmoid(xi(e) * coreness(e)); always >= 1/2."""
-    ranks = list(ranks)
-    mu = edge_coreness(ranks, cfg.n, cfg.q_mu)
-    s = edge_xi(len(ranks), 1.0, cfg.xi) * mu
-    return float(1.0 / (1.0 + np.exp(-s)))
+def edge_probability(ranks, cfg: GeneratorConfig):
+    """Inclusion probability sigmoid(xi(e) * coreness(e)) along the last
+    axis of `ranks`; always >= 1/2."""
+    ranks = np.asarray(ranks)
+    s = edge_xi(ranks.shape[-1], 1.0, cfg.xi) * edge_coreness(ranks, cfg.n, cfg.q_mu)
+    return 1.0 / (1.0 + np.exp(-s))
 
 
 def candidate_count(n: int, max_size: int) -> int:
@@ -96,18 +97,13 @@ def _candidate_probabilities(cfg: GeneratorConfig) -> tuple[list[np.ndarray], li
     """
     blocks = []
     probs = []
-    n, q = cfg.n, cfg.q_mu
-    base = np.arange(1, n + 1, dtype=np.float64)
-    core_term = ((n - base) / n) ** q
     for r in range(2, cfg.max_size + 1):
         combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), r)),
+            itertools.chain.from_iterable(itertools.combinations(range(cfg.n), r)),
             dtype=np.int64,
-            count=comb(n, r) * r,
+            count=comb(cfg.n, r) * r,
         ).reshape(-1, r)
-        mu = np.sum(core_term[combos], axis=1) ** (1.0 / q)
-        s = edge_xi(r, 1.0, cfg.xi) * mu
-        probs.append(1.0 / (1.0 + np.exp(-s)))
+        probs.append(edge_probability(combos + 1, cfg))
         blocks.append(combos)
     return blocks, probs
 

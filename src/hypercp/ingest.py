@@ -101,14 +101,8 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 def write_edge_list(h: Hypergraph, dest) -> None:
     """Write the canonical text format to a path or text stream."""
-    text = hypergraph_to_text(h)
-    if isinstance(dest, (str, Path)):
-        path = Path(dest)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "wt") as f:
-            f.write(text)
-    else:
-        dest.write(text)
+    with _open_text(dest, "wt") as f:
+        f.write(hypergraph_to_text(h))
 
 
 def read_simplex_stream(nverts_src, simplices_src) -> Hypergraph:

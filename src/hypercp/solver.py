@@ -9,15 +9,18 @@ The maximizer is computed by a fixed-point iteration that alternates the
 objective's gradient map with a normalization step; the iteration is a
 contraction on the positive cone (Thompson metric, factor (q-1)/(p-1)),
 so it converges globally and linearly from any positive start.  The
-limit also solves a nonlinear eigenvector problem, which gives an
-independent residual check (`eigen_residual`).
+limit also solves a nonlinear eigenvector problem, whose residual
+(`eigen_residual`) measures how far a result is from a fixed point.
 
-The objective and its gradient share one kernel of two sparse
-matrix-vector products with the incidence matrix B of the hypergraph:
-with z = x / max(x) and e = B z^q (the edge q-power sums of z),
+The objective, its gradient and the eigen-residual share one kernel of
+two sparse matrix-vector products with the incidence matrix B of the
+hypergraph: with z = x / max(x) and e = B z^q (the edge q-power sums of z),
 
     gradient  = z^(q-1) * B^T (xi * e^(1/q - 1))     (0-homogeneous in x)
     objective = max(x) * sum over edges of xi * e^(1/q).
+
+Checks that share none of this code (a dense gradient, a longdouble
+fixed point) live in `tests/helpers.py`.
 
 With q around 10, raw powers of x under/overflow readily; the one global
 rescale keeps every edge sum accurate unless every member of an edge is
@@ -92,7 +95,10 @@ class SolverResult:
     positive for every node of degree >= 1 and exactly 0 for isolated
     nodes.  residual_trace holds the relative 2-norm change of each
     iterate; contraction_trace holds ratios of successive Thompson step
-    distances (diagnostic, starts at the second step).
+    distances (diagnostic, starts at the second step, and stops before
+    a step that is not finite because a score underflowed to 0).  The
+    linear Borgatti-Everett baseline returns unit 2-norm scores and
+    empty traces.
     """
 
     scores: np.ndarray
@@ -159,6 +165,16 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     return mx * float(np.sum(xi_vector(h, xi) * norms))
 
 
+def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, z: np.ndarray, q: float) -> np.ndarray:
+    """B^T (xi * e^(1/q - 1)) for z with entries in [0, 1], where e are the
+    edge q-power sums of z; an edge rescaled by `_edge_power_sums` has its
+    scale r_e folded back in as r_e^(1 - q)."""
+    s, low, r = _edge_power_sums(h, z, q)
+    t = xi_vec * s ** (1.0 / q - 1.0)
+    t[low] *= r ** (1.0 - q)
+    return h.incidence_t @ t
+
+
 def _gradient(h: Hypergraph, xi_vec: np.ndarray, x: np.ndarray, q: float) -> np.ndarray:
     """Unchecked gradient of the objective at a positive point.
 
@@ -168,10 +184,12 @@ def _gradient(h: Hypergraph, xi_vec: np.ndarray, x: np.ndarray, q: float) -> np.
     change when x is scaled.
     """
     z = x / np.max(x)
-    s, low, r = _edge_power_sums(h, z, q)
-    t = xi_vec * s ** (1.0 / q - 1.0)
-    t[low] *= r ** (1.0 - q)
-    return z ** (q - 1.0) * (h.incidence_t @ t)
+    return z ** (q - 1.0) * _edge_kernel(h, xi_vec, z, q)
+
+
+def _step(y: np.ndarray, p: float) -> np.ndarray:
+    """Next iterate from a gradient y: p*-normalization, then the 1/(p-1) power."""
+    return (y / _pnorm(y, p / (p - 1.0))) ** (1.0 / (p - 1.0))
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
@@ -195,8 +213,7 @@ def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) 
     and a Thompson-metric contraction with factor (q-1)/(p-1).  The
     output has unit p-norm by construction.
     """
-    y = objective_gradient(h, xi, x, q)
-    return (y / _pnorm(y, p / (p - 1.0))) ** (1.0 / (p - 1.0))
+    return _step(objective_gradient(h, xi, x, q), p)
 
 
 def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -226,7 +243,6 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         raise ValueError("cannot score a hypergraph with no edges")
 
     q, p = cfg.q, cfg.p
-    pstar = cfg.p_conjugate
     # The fixed point does not change when xi is scaled.  Dividing xi by
     # the power of two that brings its max into [0.5, 1) keeps a huge xi
     # from overflowing the gradient and rounds nothing; lam is scaled back.
@@ -246,14 +262,13 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        y = _gradient(h, xi_vec, x, q)
-        x_next = (y / _pnorm(y, pstar)) ** (1.0 / (p - 1.0))
+        x_next = _step(_gradient(h, xi_vec, x, q), p)
         diff = float(np.linalg.norm(x_next - x) / np.linalg.norm(x))
         residuals.append(diff)
         with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed score logs -inf
-            step_distances.append(
-                float(np.max(np.abs(np.log(x_next[active]) - np.log(x[active]))))
-            )
+            dist = float(np.max(np.abs(np.log(x_next[active]) - np.log(x[active]))))
+        if math.isfinite(dist):  # the step to a 0 score is inf, and 0 stays 0 (later steps nan)
+            step_distances.append(dist)
         x = x_next
         if diff < cfg.tol:
             converged = True
@@ -263,7 +278,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     if underflowed := int(np.count_nonzero(x[active] == 0.0)):
         converged = False
         log.warning("%d non-isolated node scores underflowed to 0", underflowed)
-    lam = float(np.ldexp(_pnorm(_gradient(h, xi_vec, x, q), pstar), xi_exp))
+    lam = float(np.ldexp(_pnorm(_gradient(h, xi_vec, x, q), cfg.p_conjugate), xi_exp))
     contraction_trace = [
         d1 / d0 for d0, d1 in zip(step_distances, step_distances[1:]) if d0 > 0.0
     ]
@@ -290,19 +305,15 @@ def eigen_residual(
     satisfies  N(z) = lambda * z  where N applies, per edge, the power
     q/(p-q) to the node scores, sums within the edge, raises the sum to
     1/q - 1, and accumulates xi-weighted edge values back onto nodes.
-    Returns ||N(z) - lambda*z||_2 / ||z||_2, evaluated directly from
-    that formula (no shared code with the iteration).
+    Returns ||N(z) - lambda*z||_2 / ||z||_2.  N is evaluated with the
+    gradient's edge kernel, so edges whose q-power sums underflow are
+    rescaled exactly as in the iteration; the independent oracles are
+    in `tests/helpers.py`.
     """
     w = np.asarray(result.scores, dtype=np.float64)
     q, p = cfg.q, cfg.p
+    mx = np.max(w)
+    lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, xi), w / mx, q)
     z = w ** (p - q)
-    fz = z ** (q / (p - q))
-    xi_vec = xi_vector(h, xi)
-
-    edge_sums = h.incidence @ fz
-    gvals = np.where(edge_sums > 0.0, edge_sums, 1.0) ** (1.0 / q - 1.0)
-    gvals[edge_sums == 0.0] = 0.0
-    lhs = h.incidence_t @ (xi_vec * gvals)
-
     # max-rescaled 2-norms: with a huge xi, squaring the entries overflows
     return _pnorm(np.abs(lhs - result.eigenvalue * z), 2.0) / _pnorm(z, 2.0)

@@ -165,6 +165,17 @@ class TestBorgattiEverett:
         with pytest.raises(ValueError, match="no edges"):
             borgatti_everett(g)
 
+    @pytest.mark.parametrize("weight", [1e154, 1e300, 1.7e308])
+    def test_huge_weight_does_not_overflow(self, weight):
+        # the 2-norm of an iterate overflowed, giving NaN scores after max_iter
+        path = [[0, 1], [1, 2], [2, 3], [3, 4]]
+        res = borgatti_everett(Hypergraph(5, path, weights=[weight, 1, 1, 1]))
+        ref = borgatti_everett(Hypergraph(5, path, weights=[1] + [1 / weight] * 3))
+        assert res.converged and res.iterations == ref.iterations
+        np.testing.assert_allclose(res.scores, ref.scores, rtol=0, atol=1e-12)
+        assert res.eigenvalue == pytest.approx(weight * ref.eigenvalue, rel=1e-12)
+        assert res.to_json_dict()["residuals"] == []
+
 
 class TestUmhs:
     def test_single_edge_needs_one_node(self):

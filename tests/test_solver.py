@@ -323,10 +323,14 @@ class TestSolver:
         # scores fall ~1e-33 below the max off the heavy edge, so some edge
         # q-power sums underflow a single global rescale
         h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[weight, 1, 1, 1, 1])
-        res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=UNIT, tol=1e-14, max_iter=5000))
+        cfg = SolverConfig(p=p, q=10.0, xi=UNIT, tol=1e-14, max_iter=5000)
+        res = hypernsm(h, cfg)
         want = longdouble_fixed_point(h, UNIT, p, 10.0)
         assert res.converged
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
+        # the residual rescales underflowing edge sums as the solver does;
+        # raw powers w^q gave 3.7e-7 * lambda at weight 1e300, p=10.2
+        assert eigen_residual(h, UNIT, res, cfg) <= 1e-10 * res.eigenvalue
 
     def test_huge_xi_does_not_overflow(self):
         # xi = 1e308 on one edge overflowed the gradient to NaN scores
@@ -353,6 +357,9 @@ class TestSolver:
         assert not res.converged
         messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
         assert messages == ["1 non-isolated node scores underflowed to 0"]
+        # the Thompson step to a 0 score is inf and every later one nan;
+        # the trace stops before them
+        assert np.all(np.isfinite(res.contraction_trace))
 
     def test_json_schema(self):
         h = Hypergraph(2, [[0, 1]])
