@@ -28,10 +28,12 @@ __all__ = [
 ]
 
 
-def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000) -> sp.csr_matrix:
+def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000, scale_exp: int = 0) -> sp.csr_matrix:
     """Symmetric clique-expansion adjacency with zero diagonal: entry (i, j)
-    is the total weight of the hyperedges containing both nodes.  An edge
-    of size s gives s*(s-1)/2 pairs, so the cost is guarded by `pair_budget`.
+    is 2^-scale_exp times the total weight of the hyperedges containing
+    both nodes; the weights are scaled before they are summed, which is
+    exact and lets a caller keep the sums finite.  An edge of size s gives
+    s*(s-1)/2 pairs, so the cost is guarded by `pair_budget`.
     """
     sizes = h.sizes.astype(np.int64)
     pair_count = int(np.sum(sizes * (sizes - 1) // 2))
@@ -41,7 +43,7 @@ def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000) -> sp.csr_ma
             f"over the budget of {pair_budget}"
         )
     # A = B^T diag(w) B minus its diagonal, B the edge-by-node incidence
-    a = (h.incidence.T @ sp.diags(h.weights) @ h.incidence).tocsr()
+    a = (h.incidence.T @ sp.diags(np.ldexp(h.weights, -scale_exp)) @ h.incidence).tocsr()
     a.setdiag(0.0)
     a.eliminate_zeros()
     return a
@@ -50,8 +52,11 @@ def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000) -> sp.csr_ma
 def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> Hypergraph:
     """Flatten a hypergraph to the 2-uniform hypergraph of its clique
     expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
-    the total weight of the hyperedges containing both."""
+    the total weight of the hyperedges containing both.  Raises
+    ValueError when such a total overflows float64."""
     pairs = sp.triu(_clique_adjacency(h, pair_budget), k=1).tocoo()
+    if not np.all(np.isfinite(pairs.data)):
+        raise ValueError("a pair weight of the clique expansion overflows float64")
     return Hypergraph(h.n, np.column_stack([pairs.row, pairs.col]).tolist(), weights=pairs.data)
 
 
@@ -79,14 +84,15 @@ def borgatti_everett(
     a nonnegative symmetric matrix unchanged but guarantees convergence
     when the spectrum is symmetric (bipartite expansions).  Scores are
     nonnegative with unit 2-norm; non-convergence is flagged.  The
-    result keeps no traces.
+    eigenvalue is inf when it exceeds the float range.  The result has
+    an empty trace and no certified bound.
     """
-    a = _clique_adjacency(h)
+    # weights scaled by the power of two that brings their max into
+    # [0.5, 1): exact, and pair sums, row sums and norms stay finite
+    a_exp = int(np.frexp(np.max(h.weights, initial=0.0))[1])
+    a = _clique_adjacency(h, scale_exp=a_exp)
     if a.nnz == 0:
         raise ValueError("graph has no edges")
-    # dividing by a power of two is exact and keeps the norms from overflowing
-    a_exp = int(np.frexp(a.data.max())[1])
-    a.data = np.ldexp(a.data, -a_exp)
     shift = 0.5 * float(np.max(a.sum(axis=1)))
 
     rng = np.random.default_rng(seed)
@@ -103,8 +109,9 @@ def borgatti_everett(
         if diff < tol:
             converged = True
             break
-    lam = float(np.ldexp(x @ (a @ x), a_exp))
-    return SolverResult(x, lam, iterations, converged, residual_trace=[], contraction_trace=[])
+    with np.errstate(over="ignore"):
+        lam = float(np.ldexp(x @ (a @ x), a_exp))
+    return SolverResult(x, lam, iterations, converged, residual_trace=[])
 
 
 @dataclasses.dataclass

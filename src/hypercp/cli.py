@@ -92,7 +92,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--xi", choices=sorted(_XI_FLAGS), default=None,
         help="edge scaling rule (default: reciprocal, weighted when the input carries weights)",
     )
-    parser.add_argument("--tol", type=float, default=1e-8, help="relative-change stopping tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="hypernsm and graphnsm: bound on the max relative score error (the contraction "
+        "bound, hypercp.solver); borgatti-everett: relative 2-norm change per step (default 1e-8)",
+    )
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--restarts", type=int, default=5, help="umhs random restarts (default 5)")

@@ -5,12 +5,21 @@ Scores are the unique entrywise-positive maximizer of
     f(x) = sum over edges e of  xi(e) * ||x restricted to e||_q,
     subject to ||x||_p = 1,  x >= 0,  with  p > q > 1.
 
-The maximizer is computed by a fixed-point iteration that alternates the
-objective's gradient map with a normalization step; the iteration is a
-contraction on the positive cone (Thompson metric, factor (q-1)/(p-1)),
-so it converges globally and linearly from any positive start.  The
-limit also solves a nonlinear eigenvector problem, whose residual
-(`eigen_residual`) measures how far a result is from a fixed point.
+The maximizer is the fixed point of a map T that alternates the
+objective's gradient with a normalization step; the iteration converges
+from any positive start at the linear rate c = (q-1)/(p-1), the spectral
+radius of T's Jacobian at the fixed point in u = log x (self-adjoint for
+the x^p-weighted inner product, spectrum in [0, c]).  The limit also
+solves a nonlinear eigenvector problem, whose residual (`eigen_residual`)
+measures how far a result is from a fixed point.
+
+`hypernsm` accelerates the iteration (Anderson mixing on u) and stops on
+c/(1-c) * d_T(x, T x), d_T the Thompson metric max_i |ln x_i - ln y_i|:
+the Banach bound on d_T(T x, x*) for a map that contracts d_T by c.  To
+first order it bounds the x^p-weighted RMS of ln(T x / x*), where the
+Jacobian contracts by c.  In d_T, the maximum relative error, the
+Jacobian's norm is 2c, so there the bound is an estimate that a solve on
+a sparse hypergraph can exceed by a small factor (tests/test_solver.py).
 
 The objective, its gradient and the eigen-residual share one kernel of
 two sparse matrix-vector products with the incidence matrix B of the
@@ -52,6 +61,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+ANDERSON_MEMORY = 5  # differences kept by hypernsm's Anderson acceleration
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
@@ -83,7 +94,7 @@ class SolverConfig:
 
     @property
     def contraction_factor(self) -> float:
-        """Guaranteed per-step Thompson-distance contraction (q-1)/(p-1)."""
+        """Linear rate (q-1)/(p-1) of the fixed-point map near its fixed point."""
         return (self.q - 1.0) / (self.p - 1.0)
 
 
@@ -93,12 +104,11 @@ class SolverResult:
 
     scores has unit p-norm over all n entries; entries are strictly
     positive for every node of degree >= 1 and exactly 0 for isolated
-    nodes.  residual_trace holds the relative 2-norm change of each
-    iterate; contraction_trace holds ratios of successive Thompson step
-    distances (diagnostic, starts at the second step, and stops before
-    a step that is not finite because a score underflowed to 0).  The
-    linear Borgatti-Everett baseline returns unit 2-norm scores and
-    empty traces.
+    nodes.  residual_trace holds the Thompson step d_T(x, T x) of every
+    map (over the nodes still positive once a score underflowed), and
+    cert_bound the error bound of the returned scores (see `hypernsm`):
+    None when a score underflowed to 0.  The linear Borgatti-Everett
+    baseline returns unit 2-norm scores, an empty trace and no bound.
     """
 
     scores: np.ndarray
@@ -106,7 +116,7 @@ class SolverResult:
     iterations: int
     converged: bool
     residual_trace: list[float]
-    contraction_trace: list[float]
+    cert_bound: float | None = None
     isolated_nodes: int = 0
 
     def to_json_dict(self) -> dict:
@@ -209,9 +219,9 @@ def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np
 def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
     """One full solver step: gradient, p*-normalization, 1/(p-1) power.
 
-    Scale-invariant (the same output for any positive multiple of x)
-    and a Thompson-metric contraction with factor (q-1)/(p-1).  The
-    output has unit p-norm by construction.
+    Scale-invariant (the same output for any positive multiple of x);
+    iterated, it converges at the linear rate (q-1)/(p-1).  The output
+    has unit p-norm by construction.
     """
     return _step(objective_gradient(h, xi, x, q), p)
 
@@ -227,15 +237,71 @@ def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(np.log(x) - np.log(y)), initial=0.0))
 
 
+class _Anderson:
+    """Anderson acceleration (Walker & Ni 2011, memory m) of a fixed-point
+    map on u = log x: ring buffers of the last m differences of the
+    residual f = log(T x / x) and of g = log T x, and the m x m Gram
+    matrix of the f differences, so one update costs O(m * size)."""
+
+    def __init__(self, memory: int, size: int) -> None:
+        self.d_f = np.empty((memory, size))
+        self.d_g = np.empty((memory, size))
+        self.gram = np.empty((memory, memory))
+        self.clear()
+
+    def clear(self) -> None:
+        self.stored = 0
+        self.f = None
+
+    def update(self, f: np.ndarray, moved: np.ndarray | None) -> np.ndarray | None:
+        """Record the residual f of the latest map, taken at the previous
+        image times exp(moved) (moved None for the image itself); return
+        the move from log T x to the extrapolated point, or None when
+        there is no earlier map to difference against."""
+        f_prev, self.f = self.f, f
+        if f_prev is None:
+            return None
+        memory = len(self.gram)
+        k = self.stored % memory
+        np.subtract(f, f_prev, out=self.d_f[k])
+        # g - g_prev = f + (u - g_prev), and u - g_prev is the move taken
+        if moved is None:
+            self.d_g[k] = f
+        else:
+            np.add(f, moved, out=self.d_g[k])
+        self.stored += 1
+        used = min(self.stored, memory)
+        d_f = self.d_f[:used]
+        row = d_f @ d_f[k]
+        self.gram[k, :used] = row
+        self.gram[:used, k] = row
+        gamma = np.linalg.lstsq(self.gram[:used, :used], d_f @ f, rcond=None)[0]
+        return -(gamma @ self.d_g[:used])
+
+
 def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Compute the global core-score vector of a hypergraph.
 
-    Fixed-point iteration from a seeded random positive start, stopping
-    when the relative 2-norm change of consecutive iterates drops below
-    cfg.tol.  Isolated nodes are excluded from the iteration and pinned
-    to score 0.  Non-convergence within cfg.max_iter is flagged on the
-    result, not raised, and so is a non-isolated node whose score
-    underflowed to 0 (with a logged count).
+    Iterates the fixed-point map T from a seeded random positive start
+    with Anderson acceleration (Walker & Ni 2011, memory
+    `ANDERSON_MEMORY`) on u = log x over the non-isolated nodes; isolated
+    nodes are pinned to score 0.  Every map gives the certificate
+    c/(1-c) * d_T(x, T x), c = cfg.contraction_factor, and the solve
+    returns T x once that is at most cfg.tol (`converged`).  cert_bound
+    adds to it the rounding of gradient entries that are subnormal
+    (below 2^-1022), through which the computed map moves its fixed point.
+    iterations counts maps.
+
+    An extrapolated point is accepted.  If its Thompson step is not below
+    the best so far, the loop takes the best point's plain step instead,
+    accepts it whatever its step, clears the memory and refills it with
+    plain steps before it extrapolates again; no map is spent twice.
+    Non-convergence within cfg.max_iter is flagged, not raised; the best
+    point's T x and bound are returned.  A non-isolated score that
+    underflows to 0 in a plain step voids the certificate (cert_bound
+    None, converged False, a logged count): the loop goes on with plain
+    steps until c/(1-c) times the Thompson step over the scores still
+    positive is at most cfg.tol.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -243,6 +309,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         raise ValueError("cannot score a hypergraph with no edges")
 
     q, p = cfg.q, cfg.p
+    c = cfg.contraction_factor
+    bound = c / (1.0 - c)
     # The fixed point does not change when xi is scaled.  Dividing xi by
     # the power of two that brings its max into [0.5, 1) keeps a huge xi
     # from overflowing the gradient and rounds nothing; lam is scaled back.
@@ -257,38 +325,76 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     x[~active] = 0.0
     x = x / _pnorm(x, p)
 
-    residuals: list[float] = []
-    step_distances: list[float] = []
+    accel = _Anderson(ANDERSON_MEMORY, int(np.count_nonzero(active)))
+    sel = active if n_isolated else slice(None)  # a view, no copy, when every node is active
+    extrapolated = np.zeros(h.n)  # reused for every extrapolated point
+    best_r, best_tx = math.inf, x
+    move = None  # log(x / previous T x) when x is an extrapolation
+    plain = True  # x is the start or a plain step, not an extrapolation
+    hold = 0  # plain steps still to take before extrapolating again
+    underflow = False
+
+    steps: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        x_next = _step(_gradient(h, xi_vec, x, q), p)
-        diff = float(np.linalg.norm(x_next - x) / np.linalg.norm(x))
-        residuals.append(diff)
-        with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed score logs -inf
-            dist = float(np.max(np.abs(np.log(x_next[active]) - np.log(x[active]))))
-        if math.isfinite(dist):  # the step to a 0 score is inf, and 0 stays 0 (later steps nan)
-            step_distances.append(dist)
-        x = x_next
-        if diff < cfg.tol:
-            converged = True
-            break
+        # an extrapolation may leave the kernel's range; its map is then dropped
+        with np.errstate(all=None if plain else "ignore"):
+            tx = _step(_gradient(h, xi_vec, x, q), p)
+        xa, ta = x[sel], tx[sel]
+        if underflow or not ta.min() > 0.0:
+            # The Thompson step to a 0 score is infinite: measure the
+            # nodes still positive (x_i = 0 gives (T x)_i = 0).
+            pos = ta > 0.0
+            r = float(np.max(np.abs(np.log(ta[pos] / xa[pos])))) if pos.any() else math.inf
+            steps.append(r)
+            if plain:  # from here on, plain steps without a certificate
+                underflow = True
+                best_tx = x = tx
+                if bound * r <= cfg.tol:
+                    break
+                continue
+        else:
+            f = np.log(ta / xa)
+            r = float(np.max(np.abs(f)))
+            steps.append(r)
+            if bound * r <= cfg.tol:
+                best_r, best_tx, converged = r, tx, True
+                break
+            if plain or r < best_r:
+                best_r, best_tx = r, tx
+                move = accel.update(f, None if plain else move)
+                plain = move is None or hold > 0
+                hold = max(hold - 1, 0)
+                if plain:
+                    x = tx
+                else:
+                    x = extrapolated
+                    x[sel] = ta * np.exp(move)
+                continue
+        # No progress: take the best point's plain step and clear the
+        # memory; plain steps refill it before extrapolation resumes.
+        x, plain, hold = best_tx, True, ANDERSON_MEMORY
+        accel.clear()
 
-    x = x / _pnorm(x, p)
+    x = best_tx / _pnorm(best_tx, p)
+    y = _gradient(h, xi_vec, x, q)
     if underflowed := int(np.count_nonzero(x[active] == 0.0)):
-        converged = False
         log.warning("%d non-isolated node scores underflowed to 0", underflowed)
-    lam = float(np.ldexp(_pnorm(_gradient(h, xi_vec, x, q), cfg.p_conjugate), xi_exp))
-    contraction_trace = [
-        d1 / d0 for d0, d1 in zip(step_distances, step_distances[1:]) if d0 > 0.0
-    ]
+    # A gradient entry below 2^-1022 is subnormal: its rounding, up to
+    # half of 2^-1074, changes the map's output there by that share over
+    # p - 1 and so moves the computed fixed point by up to 1/(1-c) times it.
+    y_min = float(np.min(y[active]))
+    slack = math.ldexp(1.0, -1074) / y_min / (2.0 * (p - 1.0)) if y_min > 0.0 else math.inf
+    cert_bound = None if underflow else (c * best_r + slack) / (1.0 - c)
+    lam = float(np.ldexp(_pnorm(y, cfg.p_conjugate), xi_exp))
     return SolverResult(
         scores=x,
         eigenvalue=lam,
         iterations=iterations,
-        converged=converged,
-        residual_trace=residuals,
-        contraction_trace=contraction_trace,
+        converged=converged and cert_bound <= cfg.tol,
+        residual_trace=steps,
+        cert_bound=cert_bound,
         isolated_nodes=n_isolated,
     )
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hypercp import Hypergraph, XiRule
+from hypercp import Hypergraph, SolverConfig, XiRule, iteration_map
 
 
 def random_hypergraph(
@@ -112,6 +112,26 @@ def longdouble_fixed_point(
         if c / (1 - c) * step < tol:
             return (x / np.sum(x**p) ** (1 / p)).astype(np.float64)
     raise AssertionError(f"longdouble oracle did not converge in {max_iter} steps")
+
+
+def plain_map_steps(h: Hypergraph, cfg: SolverConfig, max_maps: int = 400) -> list[float]:
+    """Thompson steps of the plain map `iteration_map` from the start that
+    `hypernsm` draws for cfg.seed, until c/(1-c) times the step, c the
+    contraction factor, is at most cfg.tol or max_maps maps are spent."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(0.5, 1.5, size=h.n)
+    active = h.degrees > 0
+    x[~active] = 0.0
+    x /= np.sum(x**cfg.p) ** (1.0 / cfg.p)
+    c = cfg.contraction_factor
+    steps: list[float] = []
+    for _ in range(max_maps):
+        tx = iteration_map(h, cfg.xi, x, cfg.q, cfg.p)
+        steps.append(float(np.max(np.abs(np.log(tx[active] / x[active])))))
+        x = tx
+        if c / (1.0 - c) * steps[-1] <= cfg.tol:
+            break
+    return steps
 
 
 def naive_objective(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> float:

@@ -35,7 +35,7 @@ from hypercp import (
     umhs,
 )
 
-from helpers import is_hitting_set, is_minimal_hitting_set, random_hypergraph
+from helpers import is_hitting_set, is_minimal_hitting_set, plain_map_steps, random_hypergraph
 
 RECIP = XiRule.RECIPROCAL
 
@@ -100,21 +100,24 @@ def test_criterion_02_hypercycle_profile_shape():
 
 
 def test_criterion_03_linear_convergence(convergence_runs):
-    worst_tail, worst_iters, all_converged = 0.0, 0, True
+    # the paper's linear rate belongs to the plain map: drive iteration_map
+    # from the accelerated solve's start and certify 1e-8 with it
+    worst_tail, worst_maps, certified, solves_converged = 0.0, 0, True, True
     for h, results in convergence_runs:
-        res = results[0]
-        all_converged &= res.converged
-        worst_iters = max(worst_iters, res.iterations)
-        r = np.asarray(res.residual_trace)
+        solves_converged &= all(res.converged for res in results)
+        r = np.asarray(plain_map_steps(h, SolverConfig(), max_maps=400))
+        certified &= 9.0 * r[-1] <= 1e-8
+        worst_maps = max(worst_maps, r.size)
         ratios = r[1:] / r[:-1]
         tail = ratios[-max(5, ratios.size // 4):]
         worst_tail = max(worst_tail, float(tail.max()))
-    ok = all_converged and worst_iters <= 400 and worst_tail <= 0.95
+    ok = solves_converged and certified and worst_tail <= 0.95
     report(
         3,
         ok,
-        f"20 instances converged to 1e-8 in <= {worst_iters} iterations, "
-        f"worst tail ratio {worst_tail:.4f} <= 0.95",
+        f"20 instances: the plain map {'certifies' if certified else 'fails to certify'} "
+        f"1e-8 in <= {worst_maps} maps (limit 400), "
+        f"worst tail ratio {worst_tail:.4f} <= 0.95; all 60 accelerated solves converged",
     )
 
 

@@ -176,6 +176,20 @@ class TestBorgattiEverett:
         assert res.eigenvalue == pytest.approx(weight * ref.eigenvalue, rel=1e-12)
         assert res.to_json_dict()["residuals"] == []
 
+    def test_overflowing_pair_weight(self):
+        # two edges of weight 1e308 share the pair {0, 1}: its weight, 2e308,
+        # overflowed to inf, so power iteration ran out with NaN scores and
+        # the graph solver blamed an input weight of inf
+        h = Hypergraph(3, [[0, 1, 2], [0, 1]], weights=[1e308, 1e308])
+        res = borgatti_everett(h)
+        ref = borgatti_everett(Hypergraph(3, [[0, 1, 2], [0, 1]]))
+        assert res.converged and res.iterations == ref.iterations
+        np.testing.assert_allclose(res.scores, ref.scores, rtol=1e-12)
+        assert res.eigenvalue == np.inf
+        for expand in (clique_expansion, graph_nsm):
+            with pytest.raises(ValueError, match="pair weight .* overflows float64"):
+                expand(h)
+
 
 class TestUmhs:
     def test_single_edge_needs_one_node(self):
