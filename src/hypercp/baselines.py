@@ -57,7 +57,8 @@ def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> Hypergraph
     pairs = sp.triu(_clique_adjacency(h, pair_budget), k=1).tocoo()
     if not np.all(np.isfinite(pairs.data)):
         raise ValueError("a pair weight of the clique expansion overflows float64")
-    return Hypergraph(h.n, np.column_stack([pairs.row, pairs.col]).tolist(), weights=pairs.data)
+    members = np.column_stack([pairs.row, pairs.col]).ravel()
+    return Hypergraph.from_flat(h.n, np.full(pairs.nnz, 2), members, weights=pairs.data)
 
 
 def graph_nsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:

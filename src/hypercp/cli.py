@@ -176,7 +176,10 @@ def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
     with open(path, newline="") as f:
         header = f.readline()
         if header.rstrip("\r\n") != "node,label,score":
-            scores = np.asarray(json.loads(header + f.read())["scores"], dtype=np.float64)
+            try:
+                scores = np.asarray(json.loads(header + f.read())["scores"], dtype=np.float64)
+            except (KeyError, TypeError):
+                raise ValueError(f"{path}: a JSON score file must hold a 'scores' list") from None
         else:
             try:
                 rows = list(csv.reader(f))

@@ -135,12 +135,10 @@ def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, 
     node_of_rank[ranks - 1] = np.arange(cfg.n)
 
     blocks, probs = _candidate_probabilities(cfg)
-    edges: list[list[int]] = []
-    for combos, p in zip(blocks, probs):
-        keep = rng.random(p.shape[0]) < p
-        # combos hold rank-1 offsets 0..n-1 for ranks 1..n
-        edges.extend(node_of_rank[combos[keep]].tolist())
-    h = Hypergraph(cfg.n, edges)
+    # combos hold rank-1 offsets 0..n-1 for ranks 1..n
+    kept = [node_of_rank[combos[rng.random(p.shape[0]) < p]] for combos, p in zip(blocks, probs)]
+    sizes = np.concatenate([np.full(len(edges), edges.shape[1]) for edges in kept])
+    h = Hypergraph.from_flat(cfg.n, sizes, np.concatenate([edges.ravel() for edges in kept]))
     return h, ranks
 
 

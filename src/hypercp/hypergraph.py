@@ -2,10 +2,11 @@
 
 A hypergraph is a set of n nodes (dense indices 0..n-1) plus a list of
 hyperedges, each a set of at least two nodes, with a positive weight per
-edge.  Construction canonicalizes the input: node indices inside an edge
-are sorted and deduplicated, exact duplicate edges are merged with their
-weights summed, and edges are stored in lexicographic order.  The object
-is immutable after construction and safe to share across threads.
+edge.  One canonicalization, on flat arrays (edge sizes and all members
+concatenated), serves the constructor and `from_flat`: node indices in an
+edge are sorted and deduplicated, equal edges merge with their weights
+summed in input order, and edges are stored in lexicographic order.  The
+object is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`).  Everything else is derived from it: the edge
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import numbers
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -89,9 +90,9 @@ class Hypergraph:
     n : int
         Number of nodes; indices 0..n-1.  Isolated nodes are allowed.
     edges : iterable of node-index lists
-        Hyperedges.  Each is canonicalized to a sorted tuple of distinct
-        integer indices; an edge with fewer than two distinct nodes is an
-        error.  Duplicate edges are merged and their weights summed.
+        Hyperedges; `from_flat` takes them as flat arrays.  Each becomes a
+        sorted tuple of distinct integer indices; an edge with fewer than
+        two distinct nodes is an error.  Duplicate edges merge, weights summed.
     weights : sequence of positive floats, optional
         One weight per input edge; defaults to 1 for every edge.
     labels : sequence of str, optional
@@ -105,59 +106,68 @@ class Hypergraph:
     `scipy.sparse` CSR matrices built from them on first access.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Sequence[int]],
-        weights: Sequence[float] | None = None,
-        labels: Sequence[str] | None = None,
-    ) -> None:
-        if n < 0:
-            raise ValueError(f"node count must be nonnegative, got {n}")
-        n = int(n)
+    def __init__(self, n: int, edges: Iterable[Sequence[int]],
+                 weights: Sequence[float] | None = None, labels: Sequence[str] | None = None) -> None:
         edges = list(edges)
         sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-        w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=np.float64)
+        try:
+            members = np.fromiter(map(operator.index, itertools.chain.from_iterable(edges)), np.int64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"node ids must be integers in [0, {n}): {exc}") from None
+        self._canonicalize(n, sizes, members, weights, labels)
+
+    @classmethod
+    def from_flat(cls, n: int, sizes: np.ndarray, members: np.ndarray,
+                  weights: Sequence[float] | None = None,
+                  labels: Sequence[str] | None = None) -> Hypergraph:
+        """Build from flat 1-D integer arrays: edge e is the e-th run of
+        `members`, of length ``sizes[e]``.  Canonicalized as the constructor does."""
+        sizes, members = np.asarray(sizes), np.asarray(members)
+        for name, a in (("sizes", sizes), ("members", members)):
+            if a.ndim != 1 or a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be a 1-D integer array, got {a.dtype}{a.shape}")
+        if sizes.sum() != members.size:
+            raise ValueError(f"edge sizes sum to {sizes.sum()} but {members.size} members given")
+        h = cls.__new__(cls)
+        h._canonicalize(n, sizes.astype(np.int64), members.astype(np.int64), weights, labels)
+        return h
+
+    def _canonicalize(self, n, sizes: np.ndarray, nodes: np.ndarray, weights, labels) -> None:
+        if not hasattr(type(n), "__index__") or n < 0:
+            raise ValueError(f"node count must be a nonnegative integer, got {n!r}")
+        n = operator.index(n)
+        m = sizes.size
+        w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
         if w.shape != sizes.shape:
-            raise ValueError(f"{len(edges)} edges but {w.size} weights")
+            raise ValueError(f"{m} edges but {w.size} weights")
         bad = ~(np.isfinite(w) & (w > 0.0))
         if bad.any():
             raise ValueError(f"edge weight must be positive and finite, got {w[bad][0]}")
-        if not sizes.all():
-            raise ValueError("empty hyperedge")
-        if max(len(edges), 1) * (n + 1) >= 2**63:
-            raise ValueError(f"{len(edges)} edges on {n} nodes overflow the int64 sort keys")
+        if (sizes < 1).any():
+            raise ValueError(f"empty hyperedge: edge sizes must be >= 1, got {sizes.min()}")
+        if max(m, 1) * (n + 1) >= 2**63:
+            raise ValueError(f"{m} edges on {n} nodes overflow the int64 sort keys")
 
-        flat = list(itertools.chain.from_iterable(edges))
-        nodes = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-        if nodes.dtype.kind not in "iub" or nodes.ndim != 1:
-            culprit = next(
-                (i for i in flat if not (isinstance(i, numbers.Integral) and 0 <= i < n)), None
-            )
-            if culprit is not None:
-                raise ValueError(f"node ids must be integers in [0, {n}), got {culprit!r}")
-            nodes = np.array(flat, dtype=np.int64)  # in-range integers of mixed numpy types
-        nodes = nodes.astype(np.int64, copy=False)
-        edge_of = np.repeat(np.arange(len(edges)), sizes)
+        edge_of = np.repeat(np.arange(m), sizes)
         outside = np.flatnonzero((nodes < 0) | (nodes >= n))
         if outside.size:
-            raw = edges[edge_of[outside[0]]]
-            raise ValueError(f"node index out of range [0, {n}): {list(raw)}")
+            raw = nodes[edge_of == edge_of[outside[0]]]
+            raise ValueError(f"node index out of range [0, {n}): {raw.tolist()}")
 
         # sort within edges and drop repeated nodes, on one int64 key per incidence
         keys = np.sort(edge_of * n + nodes)
-        edge_of, nodes = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
-        distinct = np.bincount(edge_of, minlength=len(edges))
+        distinct_edge_of, distinct_nodes = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
+        distinct = np.bincount(distinct_edge_of, minlength=m)
         if (distinct < 2).any():
-            raw = edges[np.argmax(distinct < 2)]
-            raise ValueError(f"hyperedge needs at least 2 distinct nodes, got {list(raw)}")
+            raw = nodes[edge_of == np.argmax(distinct < 2)]
+            raise ValueError(f"hyperedge needs at least 2 distinct nodes, got {raw.tolist()}")
 
         # sort edges and merge equal ones; bincount sums each run in input order
         row_offsets = np.r_[0, np.cumsum(distinct)]
-        order, first = _sorted_rows(nodes, row_offsets, n)
+        order, first = _sorted_rows(distinct_nodes, row_offsets, n)
         self.n = n
         self.offsets = np.r_[0, np.cumsum(distinct[order[first]])]
-        self.members = nodes[row_indices(row_offsets, order[first])]
+        self.members = distinct_nodes[row_indices(row_offsets, order[first])]
         # (bincount of nothing is int64, hence the cast)
         self.weights = np.bincount(np.cumsum(first) - 1, weights=w[order]).astype(np.float64)
         for a in (self.offsets, self.members, self.weights):

@@ -8,15 +8,16 @@ first-appearance order and the mapping is kept on the hypergraph, so a
 reread file keeps every edge's labels and weight bytes, not its layout.
 
 A simplex stream is two parallel files, one entry per line: the size of
-each simplex, and the member labels of all simplices concatenated.
-Each simplex becomes a hyperedge; duplicates merge into integer
-multiplicity weights, within-simplex duplicate labels collapse, and the
-resulting size-1 simplices are dropped with a logged count.  All
-readers accept plain or gzip-compressed files.
+each simplex, and the member labels of all simplices concatenated.  Each
+simplex becomes a hyperedge; duplicates merge into multiplicity weights,
+repeated labels in a simplex collapse, and simplices left with one node
+are dropped with a logged count.  Readers pass flat arrays (edge sizes,
+interned members) to `Hypergraph.from_flat` and read plain or gzip files.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import gzip
 import logging
@@ -53,7 +54,7 @@ def read_edge_list(source) -> Hypergraph:
     Malformed lines raise ValueError with the 1-based line number.
     """
     index: dict[str, int] = {}
-    edges: list[list[int]] = []
+    sizes, members = array.array("q"), array.array("q")  # int64, even when empty
     weights: list[float] = []
     with _open_text(source) as f:
         for lineno, line in enumerate(f, start=1):
@@ -82,9 +83,10 @@ def read_edge_list(source) -> Hypergraph:
                 )
             if not (math.isfinite(weight) and weight > 0.0):
                 raise ValueError(f"line {lineno}: weight must be positive and finite, got {weight}")
-            edges.append([index.setdefault(lab, len(index)) for lab in labels])
+            sizes.append(len(labels))
+            members.extend([index.setdefault(lab, len(index)) for lab in labels])
             weights.append(weight)
-    return Hypergraph(len(index), edges, weights=weights, labels=list(index))
+    return Hypergraph.from_flat(len(index), sizes, members, weights=weights, labels=list(index))
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:
@@ -126,19 +128,17 @@ def read_simplex_stream(nverts_src, simplices_src) -> Hypergraph:
     if any(s < 1 for s in nverts):
         raise ValueError("every simplex size must be >= 1")
     index: dict[str, int] = {}
-    edges: list[list[int]] = []
-    dropped = 0
+    sizes, members = array.array("q"), array.array("q")  # int64, even when empty
     pos = 0
     for size in nverts:
-        distinct = dict.fromkeys(flat[pos : pos + size])
+        simplex = flat[pos : pos + size]
         pos += size
-        if len(distinct) < 2:
-            dropped += 1
-            continue
-        edges.append([index.setdefault(lab, len(index)) for lab in distinct])
-    if dropped:
-        log.warning("dropped %d single-node simplices", dropped)
-    return Hypergraph(len(index), edges, labels=list(index))
+        if len(set(simplex)) >= 2:
+            sizes.append(size)
+            members.extend([index.setdefault(lab, len(index)) for lab in simplex])
+    if len(sizes) < len(nverts):
+        log.warning("dropped %d single-node simplices", len(nverts) - len(sizes))
+    return Hypergraph.from_flat(len(index), sizes, members, labels=list(index))
 
 
 def read_label_set(source, h: Hypergraph) -> tuple[list[int], list[str]]:

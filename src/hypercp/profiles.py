@@ -57,14 +57,17 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
 
 
 def profile_value(h: Hypergraph, nodes: Iterable[int], xi: XiRule | None = None) -> float:
-    """Contained-over-touched edge ratio for one node set.
+    """Contained-over-touched edge ratio for one set of node ids in [0, n).
 
     Unweighted when xi is None (edge counts), xi-weighted otherwise.
     Returns 0 when no edge touches the set.  This is the profile curve's
     value at the prefix that the set fills when its nodes score lowest.
     """
+    ids = list(nodes)
+    if not all(0 <= i < h.n for i in ids):
+        raise ValueError("node set contains out-of-range node indices")
     inside = np.zeros(h.n, dtype=bool)
-    inside[list(nodes)] = True
+    inside[ids] = True
     k = int(inside.sum())
     return float(profile_curve(h, ~inside, xi).values[k - 1]) if k else 0.0
 

@@ -143,6 +143,16 @@ class TestProfileCommand:
                     "--out", tmp_path / "c.csv"]) == 1
         assert "rows must be node,label,score" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["{}", "[1, 2]", '"scores"', '{"scores": {"0": 1}}'])
+    def test_json_scores_without_score_list_rejected(self, hypercycle_file, tmp_path, capsys,
+                                                      payload):
+        scores = tmp_path / "s.json"
+        scores.write_text(payload)
+        assert run(["profile", "--input", hypercycle_file, "--scores", scores,
+                    "--out", tmp_path / "c.csv"]) == 1
+        assert "hypercp: error:" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_intersection_kind(self, hypercycle_file, tmp_path):
         h, overlaps = hypercycle()
         scores = tmp_path / "s.json"

@@ -73,6 +73,41 @@ def test_rejects_bad_input(edges, weights, err):
         Hypergraph(3, edges, weights=weights)
 
 
+@pytest.mark.parametrize(
+    "sizes,members,weights,err",
+    [
+        ([2, 2], [0, 1, 2], None, "sum to 4 but 3"),
+        ([2], [0, 1, 2], None, "sum to 2 but 3"),
+        ([2, 0], [0, 1], None, "empty"),
+        ([3, -1], [0, 1], None, ">= 1"),
+        ([2], [0.0, 1.0], None, "integer array"),
+        ([2.0], [0, 1], None, "integer array"),
+        ([], [], None, "integer array"),  # np.asarray([]) is float64
+        ([[2]], [0, 1], None, "1-D"),
+        ([2], [[0, 1]], None, "1-D"),
+        ([2, 2], [0, 1, 1, 2], [1.0], "2 edges but 1 weights"),
+        ([2], [0, 3], None, "out of range"),
+        ([2], [1, 1], None, "2 distinct"),
+    ],
+)
+def test_from_flat_rejects_bad_input(sizes, members, weights, err):
+    with pytest.raises(ValueError, match=err):
+        Hypergraph.from_flat(3, np.asarray(sizes), np.asarray(members), weights=weights)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), "3", None, -1])
+def test_rejects_non_integral_or_negative_node_count(n):
+    for build in (lambda: Hypergraph(n, [[0, 1]]),
+                  lambda: Hypergraph.from_flat(n, np.array([2]), np.array([0, 1]))):
+        with pytest.raises(ValueError, match="node count"):
+            build()
+
+
+def test_integer_node_count_of_numpy_type_is_accepted():
+    assert Hypergraph(np.int32(3), [[0, 2]]).n == 3
+    assert type(Hypergraph.from_flat(np.uint8(3), np.array([2]), np.array([0, 2])).n) is int
+
+
 def test_integer_ids_of_mixed_numpy_types_are_accepted():
     # numpy types a uint64 and an int64 scalar together as float64
     assert Hypergraph(3, [[np.uint64(2), np.int64(0)]]).edges == [(0, 2)]
@@ -160,9 +195,14 @@ def test_immutability_of_arrays():
 def test_construction_matches_dict_merge_oracle(case):
     n, edges, weights = case
     h = Hypergraph(n, edges, weights=weights)
+    flat = Hypergraph.from_flat(n, np.array([len(e) for e in edges], dtype=np.int64),
+                                np.array([i for e in edges for i in e], dtype=np.int64),
+                                weights=weights)
     offsets, members, merged = canonical_incidence(n, edges, weights)
-    for got, want in ((h.offsets, offsets), (h.members, members), (h.weights, merged)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for g in (h, flat):
+        for got, want in ((g.offsets, offsets), (g.members, members), (g.weights, merged)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert flat == h
     assert h.edges == [tuple(members[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
     assert h.degrees.tolist() == [sum(i in e for e in h.edges) for i in range(n)]
 

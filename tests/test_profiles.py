@@ -41,6 +41,13 @@ class TestProfileValue:
         rest = [i for i in range(28) if i not in overlaps]
         assert profile_value(h, rest) == 0.0
 
+    @pytest.mark.parametrize("nodes", [[-1], [0, 5], [7]])
+    def test_rejects_ids_outside_node_range(self, nodes):
+        # -1 used to score node n-1 silently, and ids >= n raised IndexError
+        h = Hypergraph(5, [[0, 1], [1, 2, 3]])
+        with pytest.raises(ValueError, match="out-of-range"):
+            profile_value(h, nodes)
+
     def test_matches_naive_recount(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
