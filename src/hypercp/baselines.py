@@ -72,22 +72,20 @@ def graph_nsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     return hypernsm(clique_expansion(h), dataclasses.replace(cfg or SolverConfig(), xi=XiRule.UNIT))
 
 
-def borgatti_everett(
-    h: Hypergraph,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    seed: int = 0,
-) -> SolverResult:
+def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Dominant-eigenvector core scores of the clique expansion, by power iteration.
 
     Purely linear: no entrywise powers.  Iterates on the adjacency plus
     a positive diagonal shift, which leaves the dominant eigenvector of
     a nonnegative symmetric matrix unchanged but guarantees convergence
-    when the spectrum is symmetric (bipartite expansions).  Scores are
-    nonnegative with unit 2-norm; non-convergence is flagged.  The
-    eigenvalue is inf when it exceeds the float range.  The result has
-    an empty trace and no certified bound.
+    when the spectrum is symmetric (bipartite expansions).  Of cfg it
+    reads the seed of the random start, max_iter and tol, a bound on the
+    relative 2-norm change of one step; p, q and xi are ignored.  Scores
+    are nonnegative with unit 2-norm and exactly 0 on isolated nodes;
+    non-convergence is flagged.  The eigenvalue is inf when it exceeds
+    the float range.  The result has an empty trace and no certified bound.
     """
+    cfg = cfg or SolverConfig()
     # weights scaled by the power of two that brings their max into
     # [0.5, 1): exact, and pair sums, row sums and norms stay finite
     a_exp = int(np.frexp(np.max(h.weights, initial=0.0))[1])
@@ -96,23 +94,26 @@ def borgatti_everett(
         raise ValueError("graph has no edges")
     shift = 0.5 * float(np.max(a.sum(axis=1)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
+    isolated = h.degrees == 0
+    x[isolated] = 0.0
     x /= np.linalg.norm(x)
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, cfg.max_iter + 1):
         y = a @ x + shift * x
         y /= np.linalg.norm(y)
         diff = float(np.linalg.norm(y - x) / np.linalg.norm(x))
         x = y
-        if diff < tol:
+        if diff < cfg.tol:
             converged = True
             break
     with np.errstate(over="ignore"):
         lam = float(np.ldexp(x @ (a @ x), a_exp))
-    return SolverResult(x, lam, iterations, converged, residual_trace=[])
+    return SolverResult(x, lam, iterations, converged, residual_trace=[],
+                        isolated_nodes=int(np.count_nonzero(isolated)))
 
 
 @dataclasses.dataclass

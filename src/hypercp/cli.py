@@ -29,13 +29,13 @@ import numpy as np
 
 from .baselines import borgatti_everett, graph_nsm, umhs
 from .generator import GeneratorConfig, sample
-from .hypergraph import Hypergraph, XiRule
+from .hypergraph import Hypergraph, XiRule, score_vector
 from .ingest import read_edge_list, read_label_set, write_edge_list
 from .profiles import intersection_curve, profile_curve, write_curves_csv
 from .solver import SolverConfig, hypernsm
 
 METHODS = ("hypernsm", "graphnsm", "borgatti-everett", "umhs")
-_XI_FLAGS = {rule.value: rule for rule in XiRule}
+_XI_CHOICES = sorted(rule.value for rule in XiRule)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -65,32 +65,12 @@ def _write_manifest(path: Path, args) -> None:
     _write_json(path, {"subcommand": args.subcommand, "options": options})
 
 
-def _resolve_xi(flag: str | None, h: Hypergraph | None) -> XiRule:
-    """Explicit flag wins; otherwise weighted iff any edge weight != 1."""
-    if flag is not None:
-        return _XI_FLAGS[flag]
-    if h is not None and h.m and bool(np.any(h.weights != 1.0)):
-        return XiRule.WEIGHTED_RECIPROCAL
-    return XiRule.RECIPROCAL
-
-
-def _solver_config(args, h: Hypergraph | None) -> SolverConfig:
-    return SolverConfig(
-        p=args.p,
-        q=args.q,
-        xi=_resolve_xi(args.xi, h),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
-
-
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=10.0, help="edge-norm exponent (default 10)")
     parser.add_argument("--p", type=float, default=11.0, help="constraint-norm exponent (default 11)")
     parser.add_argument(
-        "--xi", choices=sorted(_XI_FLAGS), default=None,
-        help="edge scaling rule (default: reciprocal, weighted when the input carries weights)",
+        "--xi", choices=_XI_CHOICES, default="weighted",
+        help="edge scaling rule (default weighted: w(e)/|e|, which is 1/|e| on unit weights)",
     )
     parser.add_argument(
         "--tol", type=float, default=1e-8,
@@ -104,7 +84,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, int]:
     """Run one method; returns (json payload, scores, iteration count)."""
-    cfg = _solver_config(args, h)
+    cfg = SolverConfig(p=args.p, q=args.q, xi=XiRule(args.xi), tol=args.tol,
+                       max_iter=args.max_iter, seed=args.seed)
     if method == "umhs":
         res = umhs(h, restarts=args.restarts, seed=args.seed)
         scores = res.scores(h.n)
@@ -114,14 +95,9 @@ def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, 
             "set_size": res.set_size,
         }
         return payload, scores, 1
-    if method == "hypernsm":
-        res = hypernsm(h, cfg)
-    elif method == "graphnsm":
-        res = graph_nsm(h, cfg)
-    elif method == "borgatti-everett":
-        res = borgatti_everett(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # built per call, so a tracer that replaced these names here is seen
+    solve = {"hypernsm": hypernsm, "graphnsm": graph_nsm, "borgatti-everett": borgatti_everett}
+    res = solve[method](h, cfg)
     return res.to_json_dict(), res.scores, res.iterations
 
 
@@ -136,7 +112,7 @@ def _scores_csv(h: Hypergraph, scores: np.ndarray) -> str:
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(
         n=args.n, max_size=args.max_size, q_mu=args.q_mu,
-        xi=_resolve_xi(args.xi, None), seed=args.seed,
+        xi=XiRule(args.xi), seed=args.seed,
     )
     h, ranks = sample(cfg)
     out = Path(args.out)
@@ -177,7 +153,7 @@ def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
         header = f.readline()
         if header.rstrip("\r\n") != "node,label,score":
             try:
-                scores = np.asarray(json.loads(header + f.read())["scores"], dtype=np.float64)
+                scores = json.loads(header + f.read())["scores"]
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: a JSON score file must hold a 'scores' list") from None
         else:
@@ -189,17 +165,20 @@ def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
             labels = [h.label_of(i) for i in range(h.n)]
             if len(rows) != h.n or by_label.keys() != set(labels):
                 raise ValueError(f"score file rows do not match the {h.n} node labels")
-            scores = np.array([by_label[lab] for lab in labels])
-    if scores.shape != (h.n,):
-        raise ValueError(f"score file has {scores.size} entries, hypergraph has {h.n} nodes")
-    return scores
+            scores = [by_label[lab] for lab in labels]
+    try:
+        return score_vector(scores, h.n)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_core(path: str, h: Hypergraph) -> list[int]:
-    """Node ids of the labels in a core file; warns about unknown labels."""
+    """Node ids of the labels in a core file, which must name one; warns about unknown labels."""
     core, missing = read_label_set(path, h)
     if missing:
         print(f"warning: {len(missing)} core labels not in hypergraph", file=sys.stderr)
+    if not core:
+        raise ValueError(f"{path}: core file names no node of the hypergraph")
     return core
 
 
@@ -207,7 +186,7 @@ def cmd_profile(args) -> int:
     h = read_edge_list(args.input)
     scores = _load_scores(args.scores, h)
     if args.kind == "profile":
-        curve = profile_curve(h, scores, xi=_resolve_xi(args.xi, h) if args.weighted else None,
+        curve = profile_curve(h, scores, xi=XiRule(args.xi) if args.weighted else None,
                               method_label=args.method_label)
     else:
         if not args.core_file:
@@ -224,10 +203,8 @@ def cmd_profile(args) -> int:
 
 def cmd_compare(args) -> int:
     h = read_edge_list(args.input)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     core = _read_core(args.core_file, h) if args.core_file else None
+    out_dir = Path(args.out_dir)
 
     gamma_curves, iota_curves, timing_rows = [], [], []
     for method in METHODS:
@@ -286,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--max-size", type=int, required=True)
     g.add_argument("--q-mu", type=float, default=10.0, help="coreness sharpness exponent")
-    g.add_argument("--xi", choices=sorted(_XI_FLAGS), default=None)
+    g.add_argument("--xi", choices=_XI_CHOICES, default="reciprocal")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="score file from detect, JSON or CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=("profile", "intersection"), default="profile")
-    p.add_argument("--xi", choices=sorted(_XI_FLAGS), default=None)
+    p.add_argument("--xi", choices=_XI_CHOICES, default="weighted")
     p.add_argument("--weighted", action="store_true", help="xi-weight the profile ratios")
     p.add_argument("--core-file", default=None)
     p.add_argument("--method-label", default="")

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi
+from .hypergraph import Hypergraph, XiRule, edge_xi, node_ids
 from .solver import objective
 
 __all__ = [
@@ -58,8 +58,15 @@ class GeneratorConfig:
         if self.q_mu < 1.0:
             raise ValueError(f"q_mu must be >= 1, got {self.q_mu}")
         if self.planted_perm is not None:
-            if sorted(self.planted_perm) != list(range(1, self.n + 1)):
-                raise ValueError("planted_perm must be a bijection on {1..n}")
+            _ranks(self.planted_perm, self.n)
+
+
+def _ranks(perm, n: int) -> np.ndarray:
+    """perm[i], the 1-based rank of node i, as int64; ValueError unless a bijection on {1..n}."""
+    ranks = node_ids(perm, n + 1)
+    if not np.array_equal(np.sort(ranks), np.arange(1, n + 1)):
+        raise ValueError(f"ranks must be a bijection on {{1..{n}}}")
+    return ranks
 
 
 def edge_coreness(ranks, n: int, q: float):
@@ -149,9 +156,7 @@ def mle_objective(h: Hypergraph, perm, xi: XiRule, q_mu: float) -> float:
     over present edges of xi(e) times the edge's coreness under the
     candidate ranks (perm[i] = rank of node i, 1-based bijection).
     """
-    ranks = np.asarray(perm, dtype=np.int64)
-    if sorted(ranks.tolist()) != list(range(1, h.n + 1)):
-        raise ValueError("perm must be a bijection on {1..n}")
+    ranks = _ranks(perm, h.n)
     return objective(h, xi, (h.n - ranks) / h.n, q_mu)
 
 

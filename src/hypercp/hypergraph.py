@@ -14,6 +14,10 @@ tuples, and, built on first use and cached, the 0/1 incidence matrix B
 (m x n, `scipy.sparse` CSR) that the solver's kernel multiplies by, and
 its transpose, which also gives the node degrees and the node -> edge
 lists.
+
+Outside node ids and score vectors have one check each, `node_ids` and
+`score_vector`; edge members get the integer rule of `node_ids` and a
+vectorised range check that names the offending edge.
 """
 
 from __future__ import annotations
@@ -46,6 +50,29 @@ def row_indices(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
     starts = offsets[rows]
     lengths = offsets[rows + 1] - starts
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def node_ids(ids: Iterable, n: int) -> np.ndarray:
+    """Node ids as int64, each an integer (`operator.index`) in [0, n), else ValueError."""
+    try:
+        out = np.fromiter(map(operator.index, ids), dtype=np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"ids must be integers in [0, {n}): {exc}") from None
+    bad = (out < 0) | (out >= n)
+    if bad.any():
+        raise ValueError(f"out-of-range id {out[bad][0]}: ids must lie in [0, {n})")
+    return out
+
+
+def score_vector(x, n: int | None = None) -> np.ndarray:
+    """Scores as float64: 1-D, of length n if given, all finite.  Sign rules are the caller's."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or (n is not None and x.size != n):
+        need = "1-D" if n is None else f"1-D of length {n}"
+        raise ValueError(f"score vector must be {need}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"score vector must be finite, got {x[~np.isfinite(x)][0]}")
+    return x
 
 
 def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .baselines import clique_expansion
-from .hypergraph import Hypergraph, XiRule, xi_vector
+from .hypergraph import Hypergraph, XiRule, node_ids, score_vector, xi_vector
 
 __all__ = [
     "ProfileCurve",
@@ -52,7 +52,7 @@ class ProfileCurve:
 
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Node indices by descending score, ties by ascending index."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = score_vector(scores)
     return np.lexsort((np.arange(scores.size), -scores))
 
 
@@ -63,11 +63,8 @@ def profile_value(h: Hypergraph, nodes: Iterable[int], xi: XiRule | None = None)
     Returns 0 when no edge touches the set.  This is the profile curve's
     value at the prefix that the set fills when its nodes score lowest.
     """
-    ids = list(nodes)
-    if not all(0 <= i < h.n for i in ids):
-        raise ValueError("node set contains out-of-range node indices")
     inside = np.zeros(h.n, dtype=bool)
-    inside[ids] = True
+    inside[node_ids(nodes, h.n)] = True
     k = int(inside.sum())
     return float(profile_curve(h, ~inside, xi).values[k - 1]) if k else 0.0
 
@@ -84,9 +81,7 @@ def profile_curve(
     order and contained from the prefix holding its last, so the curve
     is a ratio of two cumulative sums and costs O(sum of edge sizes + n).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (h.n,):
-        raise ValueError(f"scores must have length {h.n}, got shape {scores.shape}")
+    scores = score_vector(scores, h.n)
     w = np.ones(h.m) if xi is None else xi_vector(h, xi)
     position = np.empty(h.n, dtype=np.int64)
     position[rank_by_score(-scores)] = np.arange(h.n)  # ascending, ties by index
@@ -107,14 +102,12 @@ def intersection_curve(
     method_label: str = "",
 ) -> ProfileCurve:
     """Fraction of the top-k scored nodes inside a known core set."""
-    scores = np.asarray(scores, dtype=np.float64)
-    core = set(int(i) for i in planted_core)
-    if not core:
+    order = rank_by_score(scores)
+    core = node_ids(planted_core, order.size)
+    if not core.size:
         raise ValueError("planted core must be non-empty")
-    if any(i < 0 or i >= scores.size for i in core):
-        raise ValueError("planted core contains out-of-range node indices")
-    hits = np.cumsum(np.isin(rank_by_score(scores), list(core)))
-    values = hits / np.arange(1, scores.size + 1)
+    hits = np.cumsum(np.isin(order, core))
+    values = hits / np.arange(1, order.size + 1)
     return ProfileCurve(values=values, kind="intersection", method_label=method_label)
 
 
@@ -128,9 +121,7 @@ def permuted_coordinates(
     orientations of each pair are listed, sorted by (row, col);
     rendering is up to the consumer.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (h.n,):
-        raise ValueError(f"scores must have length {h.n}, got shape {scores.shape}")
+    scores = score_vector(scores, h.n)
     position = np.empty(h.n, dtype=np.int64)
     position[rank_by_score(scores)] = np.arange(h.n)
     g = clique_expansion(h)

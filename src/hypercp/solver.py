@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, row_indices, xi_vector
+from .hypergraph import Hypergraph, XiRule, row_indices, score_vector, xi_vector
 
 __all__ = [
     "SolverConfig",
@@ -161,9 +161,7 @@ def _edge_power_sums(
 
 def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     """Core-score objective f(x): xi-weighted sum of per-edge q-norms."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (h.n,):
-        raise ValueError(f"score vector must have length {h.n}, got shape {x.shape}")
+    x = score_vector(x, h.n)
     if np.any(x < 0.0):
         raise ValueError("objective requires a nonnegative vector")
     mx = float(np.max(x, initial=0.0))
@@ -208,9 +206,7 @@ def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np
     Requires x > 0 on every non-isolated node (the map is only defined
     on the positive cone); isolated nodes may be 0 and map to 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (h.n,):
-        raise ValueError(f"score vector must have length {h.n}, got shape {x.shape}")
+    x = score_vector(x, h.n)
     if np.any(x[h.degrees > 0] <= 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
     return _gradient(h, xi_vector(h, xi), x, q)
@@ -228,10 +224,8 @@ def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) 
 
 def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
     """max_i |ln x_i - ln y_i| for strictly positive vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    x = score_vector(x)
+    y = score_vector(y, x.size)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("Thompson distance is defined on strictly positive vectors")
     return float(np.max(np.abs(np.log(x) - np.log(y)), initial=0.0))
@@ -303,8 +297,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     steps until c/(1-c) times the Thompson step over the scores still
     positive is at most cfg.tol.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    cfg = cfg or SolverConfig()
     if h.m == 0:
         raise ValueError("cannot score a hypergraph with no edges")
 
@@ -399,13 +392,9 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     )
 
 
-def eigen_residual(
-    h: Hypergraph,
-    xi: XiRule,
-    result: SolverResult,
-    cfg: SolverConfig,
-) -> float:
-    """Relative residual of the nonlinear eigen-equation at the solution.
+def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> float:
+    """Relative residual, at the solution `result`, of the nonlinear
+    eigen-equation that cfg.p, cfg.q and cfg.xi define.
 
     The unit-p-norm maximizer w, remapped entrywise to z = w^(p-q),
     satisfies  N(z) = lambda * z  where N applies, per edge, the power
@@ -419,7 +408,7 @@ def eigen_residual(
     w = np.asarray(result.scores, dtype=np.float64)
     q, p = cfg.q, cfg.p
     mx = np.max(w)
-    lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, xi), w / mx, q)
+    lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, cfg.xi), w / mx, q)
     z = w ** (p - q)
     # max-rescaled 2-norms: with a huge xi, squaring the entries overflows
     return _pnorm(np.abs(lhs - result.eigenvalue * z), 2.0) / _pnorm(z, 2.0)

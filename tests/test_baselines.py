@@ -129,7 +129,7 @@ class TestBorgattiEverett:
             n = int(rng.integers(10, 100))
             h = random_hypergraph(rng, n, 2 * n, smax=4, weighted=True)
             g = clique_expansion(h)
-            res = borgatti_everett(g, tol=1e-12, max_iter=20000)
+            res = borgatti_everett(g, SolverConfig(tol=1e-12, max_iter=20000))
             dense = dense_clique_adjacency(h)
             vals, vecs = np.linalg.eigh(dense)
             lead = np.abs(vecs[:, -1])
@@ -141,22 +141,22 @@ class TestBorgattiEverett:
         pairs = list(itertools.combinations(range(5), 2))
         pairs += list(itertools.combinations(range(5, 8), 2))
         g = Hypergraph(8, pairs)
-        res = borgatti_everett(g, tol=1e-12, max_iter=20000)
+        res = borgatti_everett(g, SolverConfig(tol=1e-12, max_iter=20000))
         assert res.scores[:5].min() > 100 * res.scores[5:].max()
 
     def test_bipartite_star_still_converges(self):
         # adjacency spectrum is symmetric; the diagonal shift must keep
         # the iteration from oscillating
-        res = borgatti_everett(star_graph(9), tol=1e-10, max_iter=5000)
+        res = borgatti_everett(star_graph(9), SolverConfig(tol=1e-10, max_iter=5000))
         assert res.converged
 
     def test_rescaling_invariance_of_ranking(self):
         rng = np.random.default_rng(6)
         h = random_hypergraph(rng, 15, 30, weighted=True)
         g = clique_expansion(h)
-        a = borgatti_everett(g, tol=1e-12, max_iter=20000)
+        a = borgatti_everett(g, SolverConfig(tol=1e-12, max_iter=20000))
         g2 = Hypergraph(g.n, g.edges, weights=g.weights * 37.5)
-        b = borgatti_everett(g2, tol=1e-12, max_iter=20000)
+        b = borgatti_everett(g2, SolverConfig(tol=1e-12, max_iter=20000))
         assert np.allclose(a.scores, b.scores, atol=1e-8)
         assert np.array_equal(np.argsort(a.scores), np.argsort(b.scores))
 
@@ -164,6 +164,12 @@ class TestBorgattiEverett:
         g = Hypergraph(3, [])
         with pytest.raises(ValueError, match="no edges"):
             borgatti_everett(g)
+
+    def test_isolated_node_scores_exactly_zero(self):
+        # the random start used to leave 2.2e-15 on node 4, against the SolverResult contract
+        res = borgatti_everett(Hypergraph(5, [[0, 1], [1, 2], [2, 3]]))
+        assert res.converged and res.isolated_nodes == 1
+        assert res.scores[4] == 0.0 and np.all(res.scores[:4] > 0.0)
 
     @pytest.mark.parametrize("weight", [1e154, 1e300, 1.7e308])
     def test_huge_weight_does_not_overflow(self, weight):

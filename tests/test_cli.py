@@ -143,6 +143,18 @@ class TestProfileCommand:
                     "--out", tmp_path / "c.csv"]) == 1
         assert "rows must be node,label,score" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("s.json", '{"scores": [NaN' + ", 1.0" * 27 + "]}"),
+        ("s.csv", "node,label,score\n0,0,nan\n" + "".join(f"{i},{i},1.0\n" for i in range(1, 28))),
+    ], ids=["json", "csv"])
+    def test_non_finite_scores_rejected(self, hypercycle_file, tmp_path, capsys, name, text):
+        # a NaN score used to give exit 0 and a curve
+        (tmp_path / name).write_text(text)
+        assert run(["profile", "--input", hypercycle_file, "--scores", tmp_path / name,
+                    "--out", tmp_path / "c.csv"]) == 1
+        assert f"{name}: score vector must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["hypercycle.txt", name])
+
     @pytest.mark.parametrize("payload", ["{}", "[1, 2]", '"scores"', '{"scores": {"0": 1}}'])
     def test_json_scores_without_score_list_rejected(self, hypercycle_file, tmp_path, capsys,
                                                       payload):
@@ -237,6 +249,16 @@ class TestCompare:
             if p.name != "timings.csv"
         }
         assert before == after
+
+    def test_core_file_naming_no_node_rejected(self, hypercycle_file, tmp_path, capsys):
+        # exit 0 without intersection.csv, where `profile` rejected the same file
+        core = tmp_path / "core.txt"
+        core.write_text("x y\n")
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--input", hypercycle_file, "--out-dir", out_dir,
+                    "--core-file", core]) == 1
+        assert "names no node of the hypergraph" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_intersection_written_with_core(self, hypercycle_file, tmp_path):
         h, overlaps = hypercycle()

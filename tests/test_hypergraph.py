@@ -3,7 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercp import Hypergraph, XiRule, hypercycle, xi_vector
+from hypercp import (
+    GeneratorConfig,
+    Hypergraph,
+    XiRule,
+    hypercycle,
+    intersection_curve,
+    mle_objective,
+    objective,
+    objective_gradient,
+    permuted_coordinates,
+    profile_curve,
+    profile_value,
+    rank_by_score,
+    thompson_distance,
+    xi_vector,
+)
 
 from helpers import canonical_incidence, random_hypergraph
 
@@ -229,3 +244,52 @@ def test_prefix_edges_sort_first_and_merge():
                    weights=[1.0, 0.1, 1.0, 1.0, 0.2, 1.0])
     assert h.edges == [(0, 1), (0, 1, 2), (0, 1, 2, 4), (0, 2), (1, 2, 3)]
     assert h.weights.tolist() == [0.1 + 0.2, 1.0, 1.0, 1.0, 1.0]
+
+
+H5 = Hypergraph(5, [[0, 1], [1, 2, 3], [3, 4]])
+
+# Every entry point that takes node ids from outside; ranks are ids in
+# 1..n, and the ids given take the place of rank 1.
+ID_TAKERS = {
+    "profile_value": lambda ids: profile_value(H5, ids),
+    "intersection_curve": lambda ids: intersection_curve(np.arange(5.0), ids),
+    "mle_objective": lambda ids: mle_objective(H5, [*ids, 2, 3, 4, 5], XiRule.RECIPROCAL, 10.0),
+    "GeneratorConfig": lambda ids: GeneratorConfig(n=5, max_size=3, planted_perm=(*ids, 2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("entry, ids", [
+    (entry, ids) for entry in ID_TAKERS for ids in ([1.5], ["1"], [2**70], [-1], [5], [])
+    if ids or entry != "profile_value"  # no edge touches the empty set: its profile value is 0
+], ids=str)
+def test_outside_node_ids_rejected(entry, ids):
+    # 1.5 and "1" used to count as node 1 or rank 1, or to raise IndexError or TypeError
+    with pytest.raises(ValueError):
+        ID_TAKERS[entry](ids)
+
+
+SCORE_TAKERS = {
+    "objective": lambda x: objective(H5, XiRule.RECIPROCAL, x, 10.0),
+    "objective_gradient": lambda x: objective_gradient(H5, XiRule.RECIPROCAL, x, 10.0),
+    "thompson_distance": lambda x: thompson_distance(x, np.ones(5)),
+    "profile_curve": lambda x: profile_curve(H5, x),
+    "permuted_coordinates": lambda x: permuted_coordinates(H5, x),
+    "intersection_curve": lambda x: intersection_curve(x, [0]),
+    "rank_by_score": rank_by_score,
+}
+BAD_SCORES = {
+    "nan": [1.0, 1.0, np.nan, 1.0, 1.0],
+    "inf": [1.0, 1.0, np.inf, 1.0, 1.0],
+    "length": np.ones(4),
+    "2-D": np.ones((1, 5)),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in SCORE_TAKERS for case in BAD_SCORES
+    if case != "length" or entry not in ("intersection_curve", "rank_by_score")  # no n to match
+])
+def test_bad_score_vectors_rejected(entry, case):
+    # NaN and inf used to give a number or a curve
+    with pytest.raises(ValueError, match="score vector"):
+        SCORE_TAKERS[entry](BAD_SCORES[case])

@@ -228,7 +228,7 @@ class TestSolver:
         res = hypernsm(h, cfg)
         assert res.converged
         assert res.scores == pytest.approx([2 ** (-1 / 11.0)] * 2, rel=1e-12)
-        assert eigen_residual(h, RECIP, res, cfg) < 1e-12
+        assert eigen_residual(h, res, cfg) < 1e-12
 
     def test_unit_p_norm_and_positivity(self):
         rng = np.random.default_rng(13)
@@ -314,8 +314,8 @@ class TestSolver:
         cfg = SolverConfig()
         full = hypernsm(h, cfg)
         early = hypernsm(h, dataclasses.replace(cfg, max_iter=1))
-        r_full = eigen_residual(h, RECIP, full, cfg)
-        r_early = eigen_residual(h, RECIP, early, cfg)
+        r_full = eigen_residual(h, full, cfg)
+        r_early = eigen_residual(h, early, cfg)
         assert r_full < 1e-6
         assert r_early > 10 * r_full
 
@@ -326,7 +326,7 @@ class TestSolver:
         cfg = SolverConfig(p=13.0, q=10.0, tol=1e-11, max_iter=4000)
         res = hypernsm(h, cfg)
         assert res.converged
-        assert eigen_residual(h, RECIP, res, cfg) < 1e-8
+        assert eigen_residual(h, res, cfg) < 1e-8
 
     @pytest.mark.parametrize("weight", [1e290, 1e300])
     @pytest.mark.parametrize("p", [10.5, 10.2])
@@ -344,7 +344,7 @@ class TestSolver:
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
         # the residual rescales underflowing edge sums as the solver does;
         # raw powers w^q gave 3.7e-7 * lambda at weight 1e300, p=10.2
-        assert eigen_residual(h, UNIT, res, cfg) <= 1e-10 * res.eigenvalue
+        assert eigen_residual(h, res, cfg) <= 1e-10 * res.eigenvalue
 
     def test_huge_xi_does_not_overflow(self):
         # xi = 1e308 on one edge overflowed the gradient to NaN scores
@@ -354,12 +354,12 @@ class TestSolver:
         assert res.converged
         assert np.all(np.isfinite(res.scores)) and np.all(res.scores > 0)
         assert 1e307 < res.eigenvalue < np.inf
-        assert eigen_residual(h, UNIT, res, cfg) < 1e-6 * res.eigenvalue
+        assert eigen_residual(h, res, cfg) < 1e-6 * res.eigenvalue
         tight = dataclasses.replace(cfg, tol=1e-14, max_iter=5000)
         res = hypernsm(h, tight)
         want = longdouble_fixed_point(h, UNIT, 11.0, 10.0)
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
-        assert eigen_residual(h, UNIT, res, tight) < 1e-12 * res.eigenvalue
+        assert eigen_residual(h, res, tight) < 1e-12 * res.eigenvalue
 
     @pytest.mark.parametrize("p", [11.0, 10.5])
     def test_underflowed_score_flagged(self, p, caplog):
