@@ -12,12 +12,15 @@ hence the pair budget.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, XiRule, row_indices
+from .hypergraph import Hypergraph, XiRule, int_setting, row_indices
 from .solver import SolverConfig, SolverResult, hypernsm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "UmhsResult",
@@ -35,6 +38,8 @@ def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000, scale_exp: i
     exact and lets a caller keep the sums finite.  An edge of size s gives
     s*(s-1)/2 pairs, so the cost is guarded by `pair_budget`.
     """
+    import scipy.sparse as sp
+
     sizes = h.sizes.astype(np.int64)
     pair_count = int(np.sum(sizes * (sizes - 1) // 2))
     if pair_count > pair_budget:
@@ -54,6 +59,8 @@ def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> Hypergraph
     expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
     the total weight of the hyperedges containing both.  Raises
     ValueError when such a total overflows float64."""
+    import scipy.sparse as sp
+
     pairs = sp.triu(_clique_adjacency(h, pair_budget), k=1).tocoo()
     if not np.all(np.isfinite(pairs.data)):
         raise ValueError("a pair weight of the clique expansion overflows float64")
@@ -180,8 +187,8 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     number of edges they hit, descending, then the remaining nodes by
     degree, descending; all ties break by ascending node index.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    int_setting("restarts", restarts, 1)
+    int_setting("seed", seed, 0)
     if h.m == 0:
         raise ValueError("cannot rank a hypergraph with no edges")
 

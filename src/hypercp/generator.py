@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi, node_ids
+from .hypergraph import Hypergraph, XiRule, edge_xi, int_setting, node_ids
 from .solver import objective
 
 __all__ = [
@@ -53,6 +53,8 @@ class GeneratorConfig:
     planted_perm: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "max_size", "seed"):
+            int_setting(name, getattr(self, name), 0)
         if not (2 <= self.max_size <= self.n):
             raise ValueError(f"need 2 <= max_size <= n, got max_size={self.max_size}, n={self.n}")
         if self.q_mu < 1.0:

@@ -13,11 +13,13 @@ The only stored incidence is the edge -> node CSR triple (`offsets`,
 tuples, and, built on first use and cached, the 0/1 incidence matrix B
 (m x n, `scipy.sparse` CSR) that the solver's kernel multiplies by, and
 its transpose, which also gives the node degrees and the node -> edge
-lists.
+lists.  scipy itself is imported only then, so code that never needs B
+never loads it.
 
-Outside node ids and score vectors have one check each, `node_ids` and
-`score_vector`; edge members get the integer rule of `node_ids` and a
-vectorised range check that names the offending edge.
+Outside node ids, score vectors and integer settings (counts and seeds)
+have one check each: `node_ids`, `score_vector` and `int_setting`.  Edge
+members get the integer rule of `node_ids` and a vectorised range check
+that names the offending edge.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ import functools
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class XiRule(enum.Enum):
@@ -62,6 +67,17 @@ def node_ids(ids: Iterable, n: int) -> np.ndarray:
     if bad.any():
         raise ValueError(f"out-of-range id {out[bad][0]}: ids must lie in [0, {n})")
     return out
+
+
+def int_setting(name: str, value, minimum: int) -> int:
+    """A setting as an int: an integer (`operator.index`) >= minimum, else ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def score_vector(x, n: int | None = None) -> np.ndarray:
@@ -130,7 +146,8 @@ class Hypergraph:
     Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
     ``weights[e]``; these read-only arrays are the whole incidence.
     `incidence` (B) and `incidence_t` (B transposed) are read-only
-    `scipy.sparse` CSR matrices built from them on first access.
+    `scipy.sparse` CSR matrices built from them on first access, which is
+    also when scipy is first imported.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]],
@@ -249,6 +266,8 @@ class Hypergraph:
     @functools.cached_property
     def incidence(self) -> sp.csr_matrix:
         """0/1 edge-by-node incidence matrix B (m x n), CSR, read-only."""
+        import scipy.sparse as sp
+
         b = sp.csr_matrix(
             (np.ones(self.members.size), self.members, self.offsets), shape=(self.m, self.n)
         )

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, row_indices, score_vector, xi_vector
+from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, score_vector, xi_vector
 
 __all__ = [
     "SolverConfig",
@@ -84,8 +84,8 @@ class SolverConfig:
             raise ValueError(f"need p > q > 1, got p={self.p}, q={self.q}")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        int_setting("max_iter", self.max_iter, 1)
+        int_setting("seed", self.seed, 0)
 
     @property
     def p_conjugate(self) -> float:

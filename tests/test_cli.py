@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypercp
 from hypercp import Hypergraph, hypercycle, write_edge_list
 from hypercp.cli import _atomic_write, build_parser, main
 
@@ -287,3 +292,48 @@ def test_manifest_records_every_parser_option(hypercycle_file, tmp_path):
         options = json.loads((tmp_path / manifest).read_text())["options"]
         dests = [a.dest for a in subparsers[sub]._actions if a.dest != "help"]
         assert list(options) == dests, sub
+
+
+class TestFreshInterpreter:
+    """`hypercp` as users run it: a new interpreter, nothing imported yet."""
+
+    @staticmethod
+    def child(*argv, cwd):
+        path = [str(Path(hypercp.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_scipy_loaded_only_by_commands_that_build_b(self, hypercycle_file, tmp_path):
+        scores = tmp_path / "s.json"
+        assert run(["detect", "--input", hypercycle_file, "--out", scores]) == 0
+        script = f"""
+import json, sys
+loaded = {{}}
+import hypercp
+loaded["import hypercp"] = "scipy" in sys.modules
+from hypercp.cli import main
+loaded["import hypercp.cli"] = "scipy" in sys.modules
+for argv in (["generate", "--n", "8", "--max-size", "3", "--out", "g.txt"],
+             ["profile", "--input", {str(hypercycle_file)!r}, "--scores", {str(scores)!r}, "--out", "p.csv"],
+             ["detect", "--input", "g.txt", "--out", "d.json"]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+        proc = self.child("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import hypercp": False, "import hypercp.cli": False,
+            "generate": False, "profile": False, "detect": True,
+        }
+
+    def test_module_entry_point_matches_in_process_run(self, hypercycle_file, tmp_path):
+        inside, outside = tmp_path / "in.json", tmp_path / "out.json"
+        assert run(["detect", "--input", hypercycle_file, "--out", inside, "--seed", 7]) == 0
+        proc = self.child("-m", "hypercp.cli", "detect", "--input", str(hypercycle_file),
+                          "--out", str(outside), "--seed", "7", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert outside.read_bytes() == inside.read_bytes()
+        labels = [Path(f"{path}.labels.json").read_bytes() for path in (outside, inside)]
+        assert labels[0] == labels[1]

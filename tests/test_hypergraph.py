@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypercp import (
     GeneratorConfig,
     Hypergraph,
+    SolverConfig,
     XiRule,
     hypercycle,
     intersection_curve,
@@ -17,6 +18,7 @@ from hypercp import (
     profile_value,
     rank_by_score,
     thompson_distance,
+    umhs,
     xi_vector,
 )
 
@@ -293,3 +295,29 @@ def test_bad_score_vectors_rejected(entry, case):
     # NaN and inf used to give a number or a curve
     with pytest.raises(ValueError, match="score vector"):
         SCORE_TAKERS[entry](BAD_SCORES[case])
+
+
+# Every integer setting, as a call taking the setting's value.
+SETTING_TAKERS = {
+    "SolverConfig.max_iter": lambda v: SolverConfig(max_iter=v),
+    "SolverConfig.seed": lambda v: SolverConfig(seed=v),
+    "GeneratorConfig.n": lambda v: GeneratorConfig(n=v, max_size=2),
+    "GeneratorConfig.max_size": lambda v: GeneratorConfig(n=10, max_size=v),
+    "GeneratorConfig.seed": lambda v: GeneratorConfig(n=10, max_size=2, seed=v),
+    "umhs.restarts": lambda v: umhs(H5, restarts=v),
+    "umhs.seed": lambda v: umhs(H5, seed=v),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in SETTING_TAKERS for value in (2.5, np.float64(3.0), "3", None)
+] + [(entry, -1) for entry in SETTING_TAKERS if entry.endswith("seed")], ids=str)
+def test_bad_integer_settings_rejected(entry, value):
+    # these used to construct, then fail in range() or numpy with TypeError or ValueError
+    with pytest.raises(ValueError, match=entry.split(".")[1]):
+        SETTING_TAKERS[entry](value)
+
+
+@pytest.mark.parametrize("entry", SETTING_TAKERS)
+def test_numpy_integer_settings_accepted(entry):
+    SETTING_TAKERS[entry](np.int64(3))
