@@ -13,29 +13,37 @@ the x^p-weighted inner product, spectrum in [0, c]).  The limit also
 solves a nonlinear eigenvector problem, whose residual (`eigen_residual`)
 measures how far a result is from a fixed point.
 
-`hypernsm` accelerates the iteration (Anderson mixing on u) and stops on
-c/(1-c) * d_T(x, T x), d_T the Thompson metric max_i |ln x_i - ln y_i|:
-the Banach bound on d_T(T x, x*) for a map that contracts d_T by c.  To
-first order it bounds the x^p-weighted RMS of ln(T x / x*), where the
-Jacobian contracts by c.  In d_T, the maximum relative error, the
-Jacobian's norm is 2c, so there the bound is an estimate that a solve on
-a sparse hypergraph can exceed by a small factor (tests/test_solver.py).
+`hypernsm` iterates u -> log T(e^u) and accelerates it (Anderson mixing
+on u).  It stops on c/(1-c) * d_T(x, T x), d_T the Thompson metric
+max_i |ln x_i - ln y_i|: the Banach bound on d_T(T x, x*) for a map that
+contracts d_T by c.  To first order it bounds the x^p-weighted RMS of
+ln(T x / x*), where the Jacobian contracts by c.  In d_T, the maximum
+relative error, the Jacobian's norm is 2c, so there the bound is an
+estimate that a solve on a sparse hypergraph can exceed by a small
+factor (tests/test_solver.py).
 
-The objective, its gradient and the eigen-residual share one kernel of
-two sparse matrix-vector products with the incidence matrix B of the
-hypergraph: with z = x / max(x) and e = B z^q (the edge q-power sums of z),
+The objective, its gradient, the map and the eigen-residual share one
+kernel of two sparse matrix-vector products with the incidence matrix B
+of the hypergraph.  It takes log scores w = log(x / max(x)) <= 0 and
+forms z^q as exp(q * w); with e = B z^q (the edge q-power sums of z),
 
-    gradient  = z^(q-1) * B^T (xi * e^(1/q - 1))     (0-homogeneous in x)
-    objective = max(x) * sum over edges of xi * e^(1/q).
+    log gradient = (q-1) * w + log B^T (xi * e^(1/q - 1))   (0-homogeneous in x)
+    log T x      = (log gradient) / (p-1), shifted to give T x unit p-norm
+    objective    = max(x) * sum over edges of xi * e^(1/q).
 
 Checks that share none of this code (a dense gradient, a longdouble
 fixed point) live in `tests/helpers.py`.
 
-With q around 10, raw powers of x under/overflow readily; the one global
-rescale keeps every edge sum accurate unless every member of an edge is
-below about 1e-31 * max(x) (at q=10).  Such an edge has e below the
-smallest normal float, where it is subnormal or 0, and only those edges
-are recomputed with their own max entry as the scale.
+With q around 10, raw powers of x under/overflow readily.  In logs no
+score underflows during a solve, and the one global shift keeps every
+edge sum accurate unless every member of an edge is below about
+e^(-708/q) * max(x) (about 1e-31 at q=10).  Such an edge has e below the
+smallest normal float, and only those edges are recomputed with their
+own largest log score r_e as the shift; their kernel term carries
+exp((1-q) r_e).  That factor overflows, and the kernel fails, for an
+edge whose largest member is below about e^(-709/(q-1)) * max(x) (about
+5e-35 at q=10).  The returned scores are exp(u) in floats, so a score
+below the float range underflows to 0; `hypernsm` flags it.
 """
 
 from __future__ import annotations
@@ -102,13 +110,14 @@ class SolverConfig:
 class SolverResult:
     """Converged (or flagged) solver output.
 
-    scores has unit p-norm over all n entries; entries are strictly
-    positive for every node of degree >= 1 and exactly 0 for isolated
-    nodes.  residual_trace holds the Thompson step d_T(x, T x) of every
-    map (over the nodes still positive once a score underflowed), and
+    scores has unit p-norm over all n entries; entries are exactly 0 for
+    isolated nodes and strictly positive for every node of degree >= 1,
+    unless its score lies below the float range and underflowed to 0.
+    residual_trace holds the Thompson step d_T(x, T x) of every map, and
     cert_bound the error bound of the returned scores (see `hypernsm`):
-    None when a score underflowed to 0.  The linear Borgatti-Everett
-    baseline returns unit 2-norm scores, an empty trace and no bound.
+    None when a returned score underflowed to 0.  The linear
+    Borgatti-Everett baseline returns unit 2-norm scores, an empty trace
+    and no bound.
     """
 
     scores: np.ndarray
@@ -137,25 +146,40 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     return mx * float(np.sum((x / mx) ** p)) ** (1.0 / p)
 
 
-def _edge_power_sums(
-    h: Hypergraph, z: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge q-power sums of z as s_e * r_e^q, for z with entries in [0, 1].
+def _log_pnorm(a: np.ndarray, p: float) -> float:
+    """log ||exp(a)||_p, taken about max(a) so that no power overflows."""
+    top = float(a.max())
+    return top + math.log(float(np.exp(p * (a - top)).sum())) / p
 
-    s = B z^q with r_e = 1, except on the edges where that sum underflows
-    below the smallest normal float: those are returned as `low` and
-    recomputed with r_e their largest member and s_e = sum (z_i / r_e)^q.
-    r is given on `low` only; an edge of zeros has r_e = s_e = 0.
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Entrywise log of a nonnegative vector, -inf at 0 without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _edge_power_sums(
+    h: Hypergraph, w: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge q-power sums of exp(w) as s_e * exp(q r_e), for log scores
+    w <= 0 (-inf for a score of 0).
+
+    s = B exp(q w) with r_e = 0, except on the edges where that sum
+    underflows below the smallest normal float: those are returned as
+    `low` and recomputed with r_e their largest member's log score and
+    s_e = sum exp(q (w_i - r_e)).  r is given on `low` only; an edge of
+    zeros has r_e = -inf and s_e = 0.
     """
-    s = h.incidence @ z**q
+    s = h.incidence @ np.exp(q * w)
     low = np.flatnonzero(s < np.finfo(np.float64).tiny)
     if not low.size:
         return s, low, low
     sizes = h.sizes[low]
     starts = np.r_[0, np.cumsum(sizes)[:-1]]
-    vals = z[h.members[row_indices(h.offsets, low)]]
+    vals = w[h.members[row_indices(h.offsets, low)]]
     r = np.maximum.reduceat(vals, starts)
-    s[low] = np.add.reduceat((vals / np.repeat(np.where(r > 0.0, r, 1.0), sizes)) ** q, starts)
+    shift = np.repeat(np.where(r > -np.inf, r, 0.0), sizes)
+    s[low] = np.add.reduceat(np.exp(q * (vals - shift)), starts)
     return s, low, r
 
 
@@ -167,41 +191,45 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     mx = float(np.max(x, initial=0.0))
     if h.m == 0 or mx == 0.0:
         return 0.0
-    s, low, r = _edge_power_sums(h, x / mx, q)
+    s, low, r = _edge_power_sums(h, _log(x / mx), q)
     norms = s ** (1.0 / q)
-    norms[low] *= r
+    norms[low] *= np.exp(r)
     return mx * float(np.sum(xi_vector(h, xi) * norms))
 
 
-def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, z: np.ndarray, q: float) -> np.ndarray:
-    """B^T (xi * e^(1/q - 1)) for z with entries in [0, 1], where e are the
-    edge q-power sums of z; an edge rescaled by `_edge_power_sums` has its
-    scale r_e folded back in as r_e^(1 - q)."""
-    s, low, r = _edge_power_sums(h, z, q)
+def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
+    """B^T (xi * e^(1/q - 1)) for log scores w <= 0, where e are the edge
+    q-power sums of exp(w); an edge rescaled by `_edge_power_sums` has
+    its shift folded back in as exp((1 - q) r_e)."""
+    s, low, r = _edge_power_sums(h, w, q)
     t = xi_vec * s ** (1.0 / q - 1.0)
-    t[low] *= r ** (1.0 - q)
+    if low.size:
+        t[low] *= np.exp((1.0 - q) * r)
     return h.incidence_t @ t
 
 
-def _gradient(h: Hypergraph, xi_vec: np.ndarray, x: np.ndarray, q: float) -> np.ndarray:
-    """Unchecked gradient of the objective at a positive point.
+def _log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
+    """Log of the objective's gradient at exp(u).
 
-    Entry i is x_i^(q-1) * sum over edges containing i of
-    xi(e) * (edge q-power sum)^(1/q - 1); isolated nodes map to 0.
-    Both factors are taken at z = x / max(x), as the product does not
-    change when x is scaled.
+    Entry i is (q-1) * w_i + log v_i, with w = u - max(u) and v the
+    kernel output: the gradient does not change when x is scaled.
+    Isolated nodes (u = -inf, v = 0) map to -inf.
     """
-    z = x / np.max(x)
-    return z ** (q - 1.0) * _edge_kernel(h, xi_vec, z, q)
+    w = u - u.max()
+    return (q - 1.0) * w + _log(_edge_kernel(h, xi_vec, w, q))
 
 
-def _step(y: np.ndarray, p: float) -> np.ndarray:
-    """Next iterate from a gradient y: p*-normalization, then the 1/(p-1) power."""
-    return (y / _pnorm(y, p / (p - 1.0))) ** (1.0 / (p - 1.0))
+def _log_step(log_y: np.ndarray, p: float) -> np.ndarray:
+    """log T x from the log gradient: the 1/(p-1) power, then the
+    p*-normalization as a shift that gives T x unit p-norm."""
+    g = log_y / (p - 1.0)
+    g -= _log_pnorm(g, p)
+    return g
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """Gradient map of the objective; the solver's inner update.
+    """Gradient map of the objective, on floats; the solver forms its log
+    from the same kernel (`_log_gradient`).
 
     Requires x > 0 on every non-isolated node (the map is only defined
     on the positive cone); isolated nodes may be 0 and map to 0.
@@ -209,7 +237,8 @@ def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np
     x = score_vector(x, h.n)
     if np.any(x[h.degrees > 0] <= 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
-    return _gradient(h, xi_vector(h, xi), x, q)
+    z = x / np.max(x)
+    return z ** (q - 1.0) * _edge_kernel(h, xi_vector(h, xi), _log(z), q)
 
 
 def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
@@ -217,9 +246,11 @@ def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) 
 
     Scale-invariant (the same output for any positive multiple of x);
     iterated, it converges at the linear rate (q-1)/(p-1).  The output
-    has unit p-norm by construction.
+    has unit p-norm by construction.  It is taken on floats, so its
+    output underflows where the solver's map, taken in logs, does not.
     """
-    return _step(objective_gradient(h, xi, x, q), p)
+    y = objective_gradient(h, xi, x, q)
+    return (y / _pnorm(y, p / (p - 1.0))) ** (1.0 / (p - 1.0))
 
 
 def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -233,9 +264,9 @@ def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 class _Anderson:
     """Anderson acceleration (Walker & Ni 2011, memory m) of a fixed-point
-    map on u = log x: ring buffers of the last m differences of the
-    residual f = log(T x / x) and of g = log T x, and the m x m Gram
-    matrix of the f differences, so one update costs O(m * size)."""
+    map u -> g: ring buffers of the last m differences of the residual
+    f = g - u and of g, and the m x m Gram matrix of the f differences,
+    so one update costs O(m * size)."""
 
     def __init__(self, memory: int, size: int) -> None:
         self.d_f = np.empty((memory, size))
@@ -245,24 +276,20 @@ class _Anderson:
 
     def clear(self) -> None:
         self.stored = 0
-        self.f = None
+        self.f = self.g = None
 
-    def update(self, f: np.ndarray, moved: np.ndarray | None) -> np.ndarray | None:
-        """Record the residual f of the latest map, taken at the previous
-        image times exp(moved) (moved None for the image itself); return
-        the move from log T x to the extrapolated point, or None when
-        there is no earlier map to difference against."""
-        f_prev, self.f = self.f, f
+    def update(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Record the latest map's image g and residual f; return the
+        extrapolated point, or None when there is no earlier map to
+        difference against.  f and g are kept, so they must not change."""
+        f_prev, g_prev = self.f, self.g
+        self.f, self.g = f, g
         if f_prev is None:
             return None
         memory = len(self.gram)
         k = self.stored % memory
         np.subtract(f, f_prev, out=self.d_f[k])
-        # g - g_prev = f + (u - g_prev), and u - g_prev is the move taken
-        if moved is None:
-            self.d_g[k] = f
-        else:
-            np.add(f, moved, out=self.d_g[k])
+        np.subtract(g, g_prev, out=self.d_g[k])
         self.stored += 1
         used = min(self.stored, memory)
         d_f = self.d_f[:used]
@@ -270,32 +297,33 @@ class _Anderson:
         self.gram[k, :used] = row
         self.gram[:used, k] = row
         gamma = np.linalg.lstsq(self.gram[:used, :used], d_f @ f, rcond=None)[0]
-        return -(gamma @ self.d_g[:used])
+        return g - gamma @ self.d_g[:used]
 
 
 def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Compute the global core-score vector of a hypergraph.
 
-    Iterates the fixed-point map T from a seeded random positive start
-    with Anderson acceleration (Walker & Ni 2011, memory
-    `ANDERSON_MEMORY`) on u = log x over the non-isolated nodes; isolated
-    nodes are pinned to score 0.  Every map gives the certificate
+    Iterates u -> log T(exp(u)), T the fixed-point map, from a seeded
+    random positive start, with Anderson acceleration (Walker & Ni 2011,
+    memory `ANDERSON_MEMORY`) over the non-isolated nodes; isolated nodes
+    are pinned to score 0 (u = -inf).  Every map gives the certificate
     c/(1-c) * d_T(x, T x), c = cfg.contraction_factor, and the solve
     returns T x once that is at most cfg.tol (`converged`).  cert_bound
-    adds to it the rounding of gradient entries that are subnormal
-    (below 2^-1022), through which the computed map moves its fixed point.
-    iterations counts maps.
+    adds to it the rounding of subnormal values in the kernel (only when
+    xi spans about the float range), through which the computed map
+    moves its fixed point.  iterations counts maps.
 
     An extrapolated point is accepted.  If its Thompson step is not below
     the best so far, the loop takes the best point's plain step instead,
     accepts it whatever its step, clears the memory and refills it with
     plain steps before it extrapolates again; no map is spent twice.
     Non-convergence within cfg.max_iter is flagged, not raised; the best
-    point's T x and bound are returned.  A non-isolated score that
-    underflows to 0 in a plain step voids the certificate (cert_bound
-    None, converged False, a logged count): the loop goes on with plain
-    steps until c/(1-c) times the Thompson step over the scores still
-    positive is at most cfg.tol.
+    point's T x and bound are returned.
+
+    The scores are exp(u), taken once at the end.  A non-isolated score
+    below the float range underflows to 0 there ("underflowed"): that
+    voids the certificate (cert_bound None, converged False, a logged
+    count), while the other scores keep their accuracy.
     """
     cfg = cfg or SolverConfig()
     if h.m == 0:
@@ -306,26 +334,30 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     bound = c / (1.0 - c)
     # The fixed point does not change when xi is scaled.  Dividing xi by
     # the power of two that brings its max into [0.5, 1) keeps a huge xi
-    # from overflowing the gradient and rounds nothing; lam is scaled back.
+    # from overflowing the kernel; it rounds only a xi that it makes
+    # subnormal, and lam is scaled back.
     xi_vec = xi_vector(h, cfg.xi)
     xi_exp = int(np.frexp(np.max(xi_vec))[1])
     xi_vec = np.ldexp(xi_vec, -xi_exp)
-    active = h.degrees > 0
-    n_isolated = int(h.n - np.count_nonzero(active))
+    covered = h.degrees > 0
+    n_isolated = int(h.n - np.count_nonzero(covered))
+    # A kernel term is at least xi * |e|^(1/q - 1) at every x.  A node
+    # whose terms all round to 0 (xi more than about 2^1074 below the max)
+    # has kernel output 0 and a score below the float range: it is held
+    # at 0 like an isolated node and counted as underflowed.
+    active = h.incidence_t @ (xi_vec * h.sizes ** (1.0 / q - 1.0)) > 0.0
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
     x[~active] = 0.0
-    x = x / _pnorm(x, p)
+    u = _log(x)
+    u -= _log_pnorm(u, p)
 
     accel = _Anderson(ANDERSON_MEMORY, int(np.count_nonzero(active)))
-    sel = active if n_isolated else slice(None)  # a view, no copy, when every node is active
-    extrapolated = np.zeros(h.n)  # reused for every extrapolated point
-    best_r, best_tx = math.inf, x
-    move = None  # log(x / previous T x) when x is an extrapolation
-    plain = True  # x is the start or a plain step, not an extrapolation
+    sel = slice(None) if active.all() else active  # a view, no copy, when every node is active
+    best_r, best_g = math.inf, u
+    plain = True  # u is the start or a plain step, not an extrapolation
     hold = 0  # plain steps still to take before extrapolating again
-    underflow = False
 
     steps: list[float] = []
     converged = False
@@ -333,59 +365,52 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     for iterations in range(1, cfg.max_iter + 1):
         # an extrapolation may leave the kernel's range; its map is then dropped
         with np.errstate(all=None if plain else "ignore"):
-            tx = _step(_gradient(h, xi_vec, x, q), p)
-        xa, ta = x[sel], tx[sel]
-        if underflow or not ta.min() > 0.0:
-            # The Thompson step to a 0 score is infinite: measure the
-            # nodes still positive (x_i = 0 gives (T x)_i = 0).
-            pos = ta > 0.0
-            r = float(np.max(np.abs(np.log(ta[pos] / xa[pos])))) if pos.any() else math.inf
-            steps.append(r)
-            if plain:  # from here on, plain steps without a certificate
-                underflow = True
-                best_tx = x = tx
-                if bound * r <= cfg.tol:
-                    break
-                continue
-        else:
-            f = np.log(ta / xa)
-            r = float(np.max(np.abs(f)))
-            steps.append(r)
-            if bound * r <= cfg.tol:
-                best_r, best_tx, converged = r, tx, True
-                break
-            if plain or r < best_r:
-                best_r, best_tx = r, tx
-                move = accel.update(f, None if plain else move)
-                plain = move is None or hold > 0
-                hold = max(hold - 1, 0)
-                if plain:
-                    x = tx
-                else:
-                    x = extrapolated
-                    x[sel] = ta * np.exp(move)
-                continue
+            g = _log_step(_log_gradient(h, xi_vec, u, q), p)
+        f = g[sel] - u[sel]
+        r = float(np.abs(f).max())
+        steps.append(r)
+        if bound * r <= cfg.tol:
+            best_r, best_g, converged = r, g, True
+            break
+        if plain or r < best_r:
+            best_r, best_g = r, g
+            extrapolated = accel.update(f, g[sel])
+            plain = extrapolated is None or hold > 0
+            hold = max(hold - 1, 0)
+            if plain:
+                u = g
+            else:
+                u = g.copy()
+                u[sel] = extrapolated
+            continue
         # No progress: take the best point's plain step and clear the
         # memory; plain steps refill it before extrapolation resumes.
-        x, plain, hold = best_tx, True, ANDERSON_MEMORY
+        u, plain, hold = best_g, True, ANDERSON_MEMORY
         accel.clear()
 
-    x = best_tx / _pnorm(best_tx, p)
-    y = _gradient(h, xi_vec, x, q)
-    if underflowed := int(np.count_nonzero(x[active] == 0.0)):
+    x = np.exp(best_g)
+    if underflowed := int(np.count_nonzero(x[covered] == 0.0)):
         log.warning("%d non-isolated node scores underflowed to 0", underflowed)
-    # A gradient entry below 2^-1022 is subnormal: its rounding, up to
-    # half of 2^-1074, changes the map's output there by that share over
-    # p - 1 and so moves the computed fixed point by up to 1/(1-c) times it.
-    y_min = float(np.min(y[active]))
-    slack = math.ldexp(1.0, -1074) / y_min / (2.0 * (p - 1.0)) if y_min > 0.0 else math.inf
-    cert_bound = None if underflow else (c * best_r + slack) / (1.0 - c)
-    lam = float(np.ldexp(_pnorm(y, cfg.p_conjugate), xi_exp))
+    # A subnormal value rounds by less than 2^-1074, the smallest float: a
+    # xi that its scaling made subnormal (its edge's terms move by that
+    # share of the xi), and any of a node's kernel terms and partial sums.
+    # That share of the kernel output moves the map's output by itself
+    # over p - 1 and the computed fixed point by up to 1/(1-c) times that.
+    w = best_g - best_g.max()
+    v = _edge_kernel(h, xi_vec, w, q)
+    err = h.degrees * math.ldexp(1.0, -1074)
+    subnormal_xi = xi_vec < np.finfo(np.float64).tiny
+    if subnormal_xi.any():
+        err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
+    slack = float(np.max(err[active] / v[active])) / (p - 1.0)
+    cert_bound = None if underflowed else (c * best_r + slack) / (1.0 - c)
+    log_y = (q - 1.0) * w + _log(v)
+    lam = float(np.ldexp(np.exp(_log_pnorm(log_y, cfg.p_conjugate)), xi_exp))
     return SolverResult(
         scores=x,
         eigenvalue=lam,
         iterations=iterations,
-        converged=converged and cert_bound <= cfg.tol,
+        converged=converged and cert_bound is not None and cert_bound <= cfg.tol,
         residual_trace=steps,
         cert_bound=cert_bound,
         isolated_nodes=n_isolated,
@@ -408,7 +433,7 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     w = np.asarray(result.scores, dtype=np.float64)
     q, p = cfg.q, cfg.p
     mx = np.max(w)
-    lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, cfg.xi), w / mx, q)
+    lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, cfg.xi), _log(w / mx), q)
     z = w ** (p - q)
     # max-rescaled 2-norms: with a huge xi, squaring the entries overflows
     return _pnorm(np.abs(lhs - result.eigenvalue * z), 2.0) / _pnorm(z, 2.0)

@@ -16,7 +16,9 @@ from hypercp import (
     objective,
     objective_gradient,
     thompson_distance,
+    xi_vector,
 )
+from hypercp.solver import _log_gradient, _log_step
 
 from helpers import (
     dense_gradient,
@@ -201,6 +203,31 @@ class TestIterationMap:
                 )
                 assert lhs <= 2.0 * 0.9 * thompson_distance(x, y) + 1e-12
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        m=st.integers(1, 15),
+        isolated=st.integers(0, 3),
+        rule=st.sampled_from(list(XiRule)),
+        qp=st.sampled_from([(10.0, 12.0), (10.0, 11.0), (10.0, 10.1), (3.0, 4.0), (2.0, 7.0)]),
+        decades=st.floats(0.0, 30.0),
+    )
+    def test_log_map_matches_iteration_map(self, seed, n, m, isolated, rule, qp, decades):
+        # the solver's map, taken in logs, against the float map on scores
+        # spread over up to 30 decades; isolated nodes stay at score 0
+        rng = np.random.default_rng(seed)
+        core = random_hypergraph(rng, n, m, smax=min(5, n), weighted=True)
+        h = Hypergraph(n + isolated, list(core.edges), weights=core.weights)
+        q, p = qp
+        active = h.degrees > 0
+        u = np.full(h.n, -np.inf)
+        u[active] = rng.uniform(-decades, 0.0, size=n) * math.log(10.0) + rng.normal()
+        got = _log_step(_log_gradient(h, xi_vector(h, rule), u, q), p)
+        want = np.log(iteration_map(h, rule, np.exp(u), q, p)[active])
+        assert np.max(np.abs(got[active] - want)) <= 1e-12
+        assert np.all(got[~active] == -np.inf)
+
 
 class TestThompsonDistance:
     def test_identity(self):
@@ -332,10 +359,8 @@ class TestSolver:
     @pytest.mark.parametrize("p", [10.5, 10.2])
     def test_extreme_weight_path_matches_longdouble_oracle(self, weight, p):
         # scores fall ~1e-33 below the max off the heavy edge, so some edge
-        # q-power sums underflow a single global rescale
-        # tol bounds the error; at 1e-14 the rounding of the subnormal
-        # gradient entries alone puts the bound above it (1.4e-14 at
-        # weight 1e300, p=10.2)
+        # q-power sums underflow a single global rescale; tol bounds the
+        # error
         h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[weight, 1, 1, 1, 1])
         cfg = SolverConfig(p=p, q=10.0, xi=UNIT, tol=1e-12, max_iter=5000)
         res = hypernsm(h, cfg)
@@ -361,33 +386,78 @@ class TestSolver:
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
         assert eigen_residual(h, res, tight) < 1e-12 * res.eigenvalue
 
-    @pytest.mark.parametrize("p", [11.0, 10.5])
+    def test_tiny_score_not_flushed_to_zero(self, caplog):
+        # node 3 hangs off a 1e-200 edge and scores 2.56e-198 at p=11: far
+        # below the max yet a float, so the solve in logs returns it
+        # converged, where maps taken on floats flushed it to 0
+        h = Hypergraph(4, [[0, 1], [1, 2], [2, 3]], weights=[1, 1, 1e-200])
+        cfg = SolverConfig(p=11.0, q=10.0, xi=UNIT)
+        res = hypernsm(h, cfg)
+        want = longdouble_fixed_point(h, UNIT, 11.0, 10.0)
+        assert want[3] == pytest.approx(2.56e-198, rel=1e-3)
+        assert res.converged and res.cert_bound <= cfg.tol
+        assert np.max(np.abs(res.scores / want - 1.0)) <= 2e-8
+        assert not [r for r in caplog.records if r.name == "hypercp.solver"]
+
+    @pytest.mark.parametrize("p", [10.5])
     def test_underflowed_score_flagged(self, p, caplog):
-        # node 3 hangs off a 1e-200 edge: its score underflows to exactly 0,
-        # which used to come back with converged=True
+        # the same node's true score is below the float range here: it
+        # underflows to exactly 0, which used to come back with converged=True
         h = Hypergraph(4, [[0, 1], [1, 2], [2, 3]], weights=[1, 1, 1e-200])
         res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=UNIT))
         assert res.scores[3] == 0.0
         assert not res.converged
         messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
         assert messages == ["1 non-isolated node scores underflowed to 0"]
-        # no certificate, yet plain steps carry on over the positive scores:
-        # the trace measures them, and they reach the longdouble fixed point
+        # no certificate, yet the solve in logs carries on: the trace stays
+        # finite and the other scores reach the longdouble fixed point
         assert res.cert_bound is None
         assert np.all(np.isfinite(res.residual_trace))
         assert res.iterations < 1000
         want = longdouble_fixed_point(h, UNIT, p, 10.0)
         assert np.max(np.abs(res.scores[:3] / want[:3] - 1.0)) <= 2e-8
 
-    def test_subnormal_gradient_widens_bound(self):
-        # p=10.1: nodes 2 and 5 sit ~1e-35 below the max and their gradient
-        # entries are subnormal (~1e-317), so the computed map is 3e-8 off
-        # at the fixed point; the bound covers it instead of claiming 1e-8
+    def test_scores_far_below_max_within_bound(self):
+        # p=10.1: nodes 2 and 5 sit ~1e-35 below the max.  Maps taken on
+        # floats made their gradient entries subnormal (~1e-317) and ended
+        # 1.6e-6 off; in logs the solve certifies within tol
         h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[1e300, 1, 1, 1, 1])
-        res = hypernsm(h, SolverConfig(p=10.1, q=10.0, xi=UNIT))
+        cfg = SolverConfig(p=10.1, q=10.0, xi=UNIT)
+        res = hypernsm(h, cfg)
         want = longdouble_fixed_point(h, UNIT, 10.1, 10.0)
+        assert want[2] < 1e-34
+        assert res.converged
+        assert np.max(np.abs(res.scores / want - 1.0)) <= res.cert_bound <= cfg.tol
+
+    def test_xi_beyond_float_range_flagged(self, caplog):
+        # scaling xi by 2^-1024 makes the light edge's xi subnormal (weight
+        # 1e-12), which widens cert_bound past the error it causes, or 0
+        # (weight 1e-20), which leaves node 4 no kernel term: its score is
+        # held at 0 and flagged
+        edges = [[0, 1], [1, 2], [2, 3], [3, 4]]
+        h = Hypergraph(5, edges, weights=[1e308, 1, 1, 1e-12])
+        res = hypernsm(h, SolverConfig(xi=UNIT))
+        want = longdouble_fixed_point(h, UNIT, 11.0, 10.0)
         assert not res.converged
         assert res.cert_bound >= np.max(np.abs(res.scores / want - 1.0)) > 1e-8
+        h = Hypergraph(5, edges, weights=[1e308, 1, 1, 1e-20])
+        res = hypernsm(h, SolverConfig(xi=UNIT))
+        assert res.scores[4] == 0.0 and np.all(res.scores[:4] > 0.0)
+        assert res.cert_bound is None and not res.converged
+        messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
+        assert messages == ["1 non-isolated node scores underflowed to 0"]
+
+    def test_map_count_pinned(self):
+        # a p-sweep-shaped instance (sizes 3-7, weighted xi) over the
+        # sweep's p grid took 301 maps in all when this pin was set; a
+        # solver change that adds more than 5% fails here
+        h = random_hypergraph(np.random.default_rng(11), 500, 1500, smin=3, smax=7, weighted=True)
+        total = 0
+        for p in (12.0, 11.0, 10.5, 10.1):
+            res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=XiRule.WEIGHTED_RECIPROCAL))
+            assert res.converged
+            total += res.iterations
+        assert total <= 316
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
