@@ -37,7 +37,6 @@ from .profiles import (
 from .ingest import (
     read_edge_list,
     read_label_set,
-    read_simplex_stream,
     write_edge_list,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "rank_by_score",
     "read_edge_list",
     "write_edge_list",
-    "read_simplex_stream",
     "read_label_set",
 ]

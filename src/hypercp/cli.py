@@ -238,7 +238,10 @@ def cmd_compare(args) -> int:
 def cmd_rerun(args) -> int:
     with open(args.manifest) as f:
         manifest = json.load(f)
-    sub = manifest["subcommand"]
+    sub = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if not (isinstance(sub, str) and isinstance(manifest.get("options"), dict)):
+        raise ValueError(f"{args.manifest}: not a JSON object with a 'subcommand' string "
+                         "and an 'options' object")
     if sub == "rerun":
         raise ValueError("manifest of a rerun cannot be replayed")
     argv = [sub]

@@ -9,8 +9,8 @@ summed in input order, and edges are stored in lexicographic order.  The
 object is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
-`members`, `weights`).  Everything else is derived from it: the edge
-tuples, and, built on first use and cached, the 0/1 incidence matrix B
+`members`, `weights`), and every caller reads it directly.  Derived
+from it, built on first use and cached: the 0/1 incidence matrix B
 (m x n, `scipy.sparse` CSR) that the solver's kernel multiplies by, and
 its transpose, which also gives the node degrees and the node -> edge
 lists.  scipy itself is imported only then, so code that never needs B
@@ -134,7 +134,7 @@ class Hypergraph:
         Number of nodes; indices 0..n-1.  Isolated nodes are allowed.
     edges : iterable of node-index lists
         Hyperedges; `from_flat` takes them as flat arrays.  Each becomes a
-        sorted tuple of distinct integer indices; an edge with fewer than
+        sorted run of distinct integer indices; an edge with fewer than
         two distinct nodes is an error.  Duplicate edges merge, weights summed.
     weights : sequence of positive floats, optional
         One weight per input edge; defaults to 1 for every edge.
@@ -248,13 +248,6 @@ class Hypergraph:
         """Per-node count of incident edges (a fresh int64 array)."""
         return np.diff(self.incidence_t.indptr).astype(np.int64)
 
-    @property
-    def edges(self) -> list[tuple[int, ...]]:
-        """Edges as sorted node tuples in canonical order, derived from the
-        CSR arrays on each access (hot paths read those directly)."""
-        flat, bounds = self.members.tolist(), self.offsets.tolist()
-        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-
     def degree_sum(self) -> int:
         """Total incidence count: sum of |e| over all edges.
 
@@ -287,15 +280,6 @@ class Hypergraph:
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""
         return self.labels[node] if self.labels is not None else str(node)
-
-    def edges_by_label(self) -> list[tuple[tuple[str, ...], float]]:
-        """Edges as sorted label tuples with weights, sorted; index-free view."""
-        out = [
-            (tuple(sorted(map(self.label_of, e))), w)
-            for e, w in zip(self.edges, self.weights.tolist())
-        ]
-        out.sort()
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):

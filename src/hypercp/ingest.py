@@ -1,4 +1,4 @@
-"""File formats: the canonical edge-list text format and simplex streams.
+"""File formats: the canonical edge-list text format and label lists.
 
 Canonical text format: one hyperedge per line as whitespace-separated
 node labels, optionally followed by ``# w=<float>``; lines starting with
@@ -6,13 +6,7 @@ node labels, optionally followed by ``# w=<float>``; lines starting with
 and edges by dense index.  Labels map to dense 0-based indices in
 first-appearance order and the mapping is kept on the hypergraph, so a
 reread file keeps every edge's labels and weight bytes, not its layout.
-
-A simplex stream is two parallel files, one entry per line: the size of
-each simplex, and the member labels of all simplices concatenated.  Each
-simplex becomes a hyperedge; duplicates merge into multiplicity weights,
-repeated labels in a simplex collapse, and simplices left with one node
-are dropped with a logged count.  Readers pass flat arrays (edge sizes,
-interned members) to `Hypergraph.from_flat` and read plain or gzip files.
+Repeated labels in a line collapse; repeated lines merge, weights summed.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ from __future__ import annotations
 import array
 import contextlib
 import gzip
-import logging
 import math
 from pathlib import Path
 
@@ -30,11 +23,8 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "hypergraph_to_text",
-    "read_simplex_stream",
     "read_label_set",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _open_text(source, mode: str = "rt"):
@@ -105,40 +95,6 @@ def write_edge_list(h: Hypergraph, dest) -> None:
     """Write the canonical text format to a path or text stream."""
     with _open_text(dest, "wt") as f:
         f.write(hypergraph_to_text(h))
-
-
-def read_simplex_stream(nverts_src, simplices_src) -> Hypergraph:
-    """Read a simplex stream into a multiplicity-weighted hypergraph.
-
-    `nverts_src` holds one simplex size per line, `simplices_src` the
-    member labels of all simplices, one per line, in the same order;
-    each is a path (``.gz`` accepted) or a file-like of text lines.
-    Each simplex is treated as a node set (duplicate labels inside a
-    simplex collapse first); identical sets merge with weight equal to
-    their multiplicity.  Simplices with a single distinct node are
-    dropped and their count is logged.
-    """
-    with _open_text(nverts_src) as f:
-        nverts = [int(line) for line in f if line.strip()]
-    with _open_text(simplices_src) as f:
-        flat = [line.strip() for line in f if line.strip()]
-    total = sum(nverts)
-    if total != len(flat):
-        raise ValueError(f"simplex sizes sum to {total} but {len(flat)} members given")
-    if any(s < 1 for s in nverts):
-        raise ValueError("every simplex size must be >= 1")
-    index: dict[str, int] = {}
-    sizes, members = array.array("q"), array.array("q")  # int64, even when empty
-    pos = 0
-    for size in nverts:
-        simplex = flat[pos : pos + size]
-        pos += size
-        if len(set(simplex)) >= 2:
-            sizes.append(size)
-            members.extend([index.setdefault(lab, len(index)) for lab in simplex])
-    if len(sizes) < len(nverts):
-        log.warning("dropped %d single-node simplices", len(nverts) - len(sizes))
-    return Hypergraph.from_flat(len(index), sizes, members, labels=list(index))
 
 
 def read_label_set(source, h: Hypergraph) -> tuple[list[int], list[str]]:

@@ -76,8 +76,8 @@ ANDERSON_MEMORY = 5  # differences kept by hypernsm's Anderson acceleration
 class SolverConfig:
     """Exponents, scaling rule and stopping parameters for the solver.
 
-    Requires p > q > 1; anything else voids the convergence guarantee
-    and is rejected at construction.
+    Requires finite p > q > 1; anything else voids the convergence
+    guarantee and is rejected at construction.
     """
 
     p: float = 11.0
@@ -88,8 +88,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.p > self.q > 1.0):
-            raise ValueError(f"need p > q > 1, got p={self.p}, q={self.q}")
+        if not (math.isfinite(self.p) and self.p > self.q > 1.0):
+            raise ValueError(f"need finite p > q > 1, got p={self.p}, q={self.q}")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         int_setting("max_iter", self.max_iter, 1)
@@ -306,12 +306,13 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     Iterates u -> log T(exp(u)), T the fixed-point map, from a seeded
     random positive start, with Anderson acceleration (Walker & Ni 2011,
     memory `ANDERSON_MEMORY`) over the non-isolated nodes; isolated nodes
-    are pinned to score 0 (u = -inf).  Every map gives the certificate
-    c/(1-c) * d_T(x, T x), c = cfg.contraction_factor, and the solve
-    returns T x once that is at most cfg.tol (`converged`).  cert_bound
-    adds to it the rounding of subnormal values in the kernel (only when
-    xi spans about the float range), through which the computed map
-    moves its fixed point.  iterations counts maps.
+    are pinned to score 0 (u = -inf).  cert_bound, the error bound of the
+    returned T x, is c/(1-c) * d_T(x, T x), c = cfg.contraction_factor,
+    plus how far rounding moves the computed map's fixed point: in the map
+    itself eps * (q-1) / (p-1) * max|log(x / max x)| / (1-c), and in
+    subnormal kernel values when xi spans about the float range.  The solve
+    stops once the first two terms are within cfg.tol; `converged` means
+    cert_bound <= cfg.tol.  iterations counts maps.
 
     An extrapolated point is accepted.  If its Thompson step is not below
     the best so far, the loop takes the best point's plain step instead,
@@ -332,6 +333,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     q, p = cfg.q, cfg.p
     c = cfg.contraction_factor
     bound = c / (1.0 - c)
+    # rounding (q-1) * w, w = u - max u <= 0, moves the map by up to this * max|w|
+    map_rounding = np.finfo(np.float64).eps * (q - 1.0) / (p - 1.0)
     # The fixed point does not change when xi is scaled.  Dividing xi by
     # the power of two that brings its max into [0.5, 1) keeps a huge xi
     # from overflowing the kernel; it rounds only a xi that it makes
@@ -369,7 +372,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         f = g[sel] - u[sel]
         r = float(np.abs(f).max())
         steps.append(r)
-        if bound * r <= cfg.tol:
+        # stop once cert_bound's step and rounding terms (see below) are within tol
+        if bound * r <= cfg.tol and c * r + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
             best_r, best_g, converged = r, g, True
             break
         if plain or r < best_r:
@@ -402,7 +406,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     subnormal_xi = xi_vec < np.finfo(np.float64).tiny
     if subnormal_xi.any():
         err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
-    slack = float(np.max(err[active] / v[active])) / (p - 1.0)
+    rounding = map_rounding * float(np.ptp(best_g[sel]))
+    slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
     cert_bound = None if underflowed else (c * best_r + slack) / (1.0 - c)
     log_y = (q - 1.0) * w + _log(v)
     lam = float(np.ldexp(np.exp(_log_pnorm(log_y, cfg.p_conjugate)), xi_exp))

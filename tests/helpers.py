@@ -39,6 +39,20 @@ def random_hypergraph(
     return Hypergraph(n, edges, weights=weights)
 
 
+def edge_tuples(h: Hypergraph) -> list[tuple[int, ...]]:
+    """Edges as sorted node tuples in stored order, cut from `members` by `offsets`."""
+    flat, bounds = h.members.tolist(), h.offsets.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def edges_by_label(h: Hypergraph) -> list[tuple[tuple[str, ...], float]]:
+    """Edges as sorted label tuples with their weights, sorted: a view
+    free of dense indices, so graphs read in different orders compare."""
+    names = h.labels if h.labels is not None else [str(i) for i in range(h.n)]
+    return sorted((tuple(sorted(names[i] for i in e)), w)
+                  for e, w in zip(edge_tuples(h), h.weights.tolist()))
+
+
 def canonical_incidence(n: int, edges, weights=None):
     """Canonical (offsets, members, weights) by an edge-by-edge dict merge.
 
@@ -59,14 +73,14 @@ def canonical_incidence(n: int, edges, weights=None):
 def dense_incidence(h: Hypergraph) -> np.ndarray:
     """0/1 node-by-edge incidence matrix, built edge by edge."""
     b = np.zeros((h.n, h.m))
-    for j, e in enumerate(h.edges):
+    for j, e in enumerate(edge_tuples(h)):
         for i in e:
             b[i, j] = 1.0
     return b
 
 
 def xi_values(h: Hypergraph, rule: XiRule) -> np.ndarray:
-    sizes = np.array([len(e) for e in h.edges], dtype=float)
+    sizes = np.array([len(e) for e in edge_tuples(h)], dtype=float)
     if rule is XiRule.RECIPROCAL:
         return 1.0 / sizes
     if rule is XiRule.WEIGHTED_RECIPROCAL:
@@ -96,7 +110,7 @@ def longdouble_fixed_point(
     p, q = ld(p), ld(q)
     c = (q - 1) / (p - 1)
     xi = xi_values(h, rule).astype(ld)
-    edges = [list(e) for e in h.edges]
+    edges = [list(e) for e in edge_tuples(h)]
     active = np.zeros(h.n, dtype=bool)
     active[[i for e in edges for i in e]] = True
     x = np.where(active, ld(1), ld(0))
@@ -138,7 +152,7 @@ def naive_objective(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> flo
     xi = xi_values(h, rule)
     return sum(
         float(xi[j]) * float(np.sum(np.asarray([x[i] for i in e]) ** q) ** (1.0 / q))
-        for j, e in enumerate(h.edges)
+        for j, e in enumerate(edge_tuples(h))
     )
 
 
@@ -146,14 +160,14 @@ def naive_profile_value(h: Hypergraph, nodes, rule: XiRule | None = None) -> flo
     """Per-set recount of the contained/touched edge ratio."""
     s = set(nodes)
     xi = np.ones(h.m) if rule is None else xi_values(h, rule)
-    num = sum(float(xi[j]) for j, e in enumerate(h.edges) if set(e) <= s)
-    den = sum(float(xi[j]) for j, e in enumerate(h.edges) if set(e) & s)
+    num = sum(float(xi[j]) for j, e in enumerate(edge_tuples(h)) if set(e) <= s)
+    den = sum(float(xi[j]) for j, e in enumerate(edge_tuples(h)) if set(e) & s)
     return num / den if den else 0.0
 
 
 def is_hitting_set(h: Hypergraph, nodes) -> bool:
     s = set(nodes)
-    return all(s & set(e) for e in h.edges)
+    return all(s & set(e) for e in edge_tuples(h))
 
 
 def is_minimal_hitting_set(h: Hypergraph, nodes) -> bool:
@@ -174,7 +188,7 @@ def model_log_likelihood(
     """
     ranks = list(ranks)
     n = h.n
-    present = {e for e in h.edges}
+    present = set(edge_tuples(h))
     total = 0.0
     for r in range(2, max_size + 1):
         for combo in itertools.combinations(range(n), r):

@@ -35,7 +35,13 @@ from hypercp import (
     umhs,
 )
 
-from helpers import is_hitting_set, is_minimal_hitting_set, plain_map_steps, random_hypergraph
+from helpers import (
+    edge_tuples,
+    is_hitting_set,
+    is_minimal_hitting_set,
+    plain_map_steps,
+    random_hypergraph,
+)
 
 RECIP = XiRule.RECIPROCAL
 
@@ -70,7 +76,7 @@ def test_criterion_01_hypercycle_rankings():
     elapsed = time.perf_counter() - t0
 
     top5 = sorted(rank_by_score(res.scores)[:5].tolist())
-    big_edge = set(max(h.edges, key=len))
+    big_edge = set(max(edge_tuples(h), key=len))
     in_top15 = len(set(rank_by_score(gres.scores)[:15].tolist()) & big_edge)
     ok = top5 == overlaps and in_top15 >= 10 and elapsed < 1.0
     report(
@@ -176,11 +182,12 @@ def test_criterion_07_ordering_objective_equals_mle():
     for seed in range(10):
         cfg = GeneratorConfig(n=6, max_size=4, q_mu=10.0, seed=seed)
         h, _ = sample(cfg)
+        edges = set(edge_tuples(h))
 
         blocks = []
         for r in range(2, 5):
             combos = np.array(list(itertools.combinations(range(6), r)))
-            present = np.array([tuple(c) in set(h.edges) for c in map(tuple, combos)])
+            present = np.array([tuple(c) in edges for c in map(tuple, combos)])
             blocks.append((r, combos, present))
 
         best_obj, best_lik = {}, {}
@@ -214,7 +221,7 @@ def test_criterion_08_generator_calibration():
     counts: dict[tuple[int, ...], int] = {}
     for t in range(trials):
         h, _ = sample(dataclasses.replace(cfg, seed=t))
-        for e in h.edges:
+        for e in edge_tuples(h):
             counts[e] = counts.get(e, 0) + 1
     worst_z, candidates = 0.0, 0
     for r in range(2, max_size + 1):
@@ -276,7 +283,7 @@ def test_criterion_10_desk_scale_optimality():
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         for chunk in np.array_split(pts, 8):
             total = np.zeros(chunk.shape[0])
-            for j, e in enumerate(h.edges):
+            for j, e in enumerate(edge_tuples(h)):
                 total += xiv[j] * np.sum(chunk[:, list(e)] ** cfg.q, axis=1) ** (1 / cfg.q)
             norms = np.sum(chunk**cfg.p, axis=1) ** (1 / cfg.p)
             grid_best = max(grid_best, float(np.max(total / norms)))

@@ -16,7 +16,13 @@ from hypercp import (
     umhs,
 )
 
-from helpers import dense_incidence, is_hitting_set, is_minimal_hitting_set, random_hypergraph
+from helpers import (
+    dense_incidence,
+    edge_tuples,
+    is_hitting_set,
+    is_minimal_hitting_set,
+    random_hypergraph,
+)
 
 
 def star_graph(m: int) -> Hypergraph:
@@ -35,7 +41,7 @@ class TestCliqueExpansion:
     def test_triangle_from_single_edge(self):
         h = Hypergraph(3, [[0, 1, 2]])
         g = clique_expansion(h)
-        adjacency = dict(zip(g.edges, g.weights))
+        adjacency = dict(zip(edge_tuples(g), g.weights))
         for i, j in itertools.combinations(range(3), 2):
             assert adjacency[i, j] == 1.0
         assert len(adjacency) == 3
@@ -43,14 +49,14 @@ class TestCliqueExpansion:
     def test_merged_edge_weight(self):
         h = Hypergraph(2, [[0, 1], [1, 0]])
         g = clique_expansion(h)
-        assert dict(zip(g.edges, g.weights))[0, 1] == 2.0
+        assert dict(zip(edge_tuples(g), g.weights))[0, 1] == 2.0
 
     def test_identity_on_graphs(self):
         rng = np.random.default_rng(1)
         h = random_hypergraph(rng, 10, 15, smin=2, smax=2, weighted=True)
         g = clique_expansion(h)
-        adjacency = dict(zip(g.edges, g.weights))
-        for e, w in zip(h.edges, h.weights):
+        adjacency = dict(zip(edge_tuples(g), g.weights))
+        for e, w in zip(edge_tuples(h), h.weights):
             assert adjacency[e[0], e[1]] == pytest.approx(w)
 
     def test_total_weight_identity(self):
@@ -72,7 +78,7 @@ class TestCliqueExpansion:
         assert set(g.sizes.tolist()) <= {2}
         want = dense_clique_adjacency(h)
         got = np.zeros((n, n))
-        for (i, j), w in zip(g.edges, g.weights):
+        for (i, j), w in zip(edge_tuples(g), g.weights):
             got[i, j] = got[j, i] = w
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert clique_expansion(g) == g
@@ -112,7 +118,7 @@ class TestGraphNsm:
 
         h, overlaps = hypercycle()
         res = graph_nsm(clique_expansion(h), SolverConfig())
-        big_edge = max(h.edges, key=len)
+        big_edge = max(edge_tuples(h), key=len)
         top15 = set(rank_by_score(res.scores)[:15].tolist())
         assert len(top15 & set(big_edge)) >= 10
 
@@ -155,7 +161,7 @@ class TestBorgattiEverett:
         h = random_hypergraph(rng, 15, 30, weighted=True)
         g = clique_expansion(h)
         a = borgatti_everett(g, SolverConfig(tol=1e-12, max_iter=20000))
-        g2 = Hypergraph(g.n, g.edges, weights=g.weights * 37.5)
+        g2 = Hypergraph(g.n, edge_tuples(g), weights=g.weights * 37.5)
         b = borgatti_everett(g2, SolverConfig(tol=1e-12, max_iter=20000))
         assert np.allclose(a.scores, b.scores, atol=1e-8)
         assert np.array_equal(np.argsort(a.scores), np.argsort(b.scores))
@@ -271,4 +277,4 @@ class TestTwoUniform:
         rng = np.random.default_rng(12)
         h = random_hypergraph(rng, 10, 18, smin=2, smax=2, weighted=True)
         h2 = clique_expansion(h)
-        assert h2 == Hypergraph(10, [list(e) for e in h.edges], weights=h.weights.tolist())
+        assert h2 == Hypergraph(10, [list(e) for e in edge_tuples(h)], weights=h.weights.tolist())

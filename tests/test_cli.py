@@ -255,6 +255,14 @@ class TestCompare:
         }
         assert before == after
 
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"subcommand": "detect"}',
+                                      '{"subcommand": "detect", "options": []}'])
+    def test_rerun_reports_bad_manifest(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert run(["rerun", manifest]) == 1
+        assert capsys.readouterr().err.startswith(f"hypercp: error: {manifest}: ")
+
     def test_core_file_naming_no_node_rejected(self, hypercycle_file, tmp_path, capsys):
         # exit 0 without intersection.csv, where `profile` rejected the same file
         core = tmp_path / "core.txt"

@@ -14,7 +14,7 @@ from hypercp import (
 )
 from hypercp.generator import candidate_count
 
-from helpers import model_log_likelihood
+from helpers import edge_tuples, model_log_likelihood
 
 
 class TestEdgeCoreness:
@@ -140,7 +140,7 @@ class TestSample:
                     n=6, max_size=3, q_mu=10.0, seed=t, planted_perm=tuple(range(1, 7))
                 )
             )
-            for e in h.edges:
+            for e in edge_tuples(h):
                 counts[e] = counts.get(e, 0) + 1
         for r in (2, 3):
             for combo in itertools.combinations(range(6), r):

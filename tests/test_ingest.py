@@ -1,16 +1,15 @@
 import gzip
 import io
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercp import Hypergraph, read_edge_list, read_simplex_stream, write_edge_list
+from hypercp import Hypergraph, read_edge_list, write_edge_list
 from hypercp.ingest import hypergraph_to_text, read_label_set
 
-from helpers import canonical_incidence, random_hypergraph
+from helpers import canonical_incidence, edge_tuples, edges_by_label, random_hypergraph
 
 
 class TestReadEdgeList:
@@ -50,7 +49,7 @@ class TestReadEdgeList:
     def test_first_appearance_indexing(self):
         h = read_edge_list(io.StringIO("z y\nx z\n"))
         assert h.labels == ["z", "y", "x"]
-        assert h.edges == [(0, 1), (0, 2)]
+        assert edge_tuples(h) == [(0, 1), (0, 2)]
 
 
 class TestRoundTrip:
@@ -71,7 +70,7 @@ class TestRoundTrip:
         # never the label-level structure, at any round-trip depth
         h2 = read_edge_list(io.StringIO(text1))
         h3 = read_edge_list(io.StringIO(hypergraph_to_text(h2)))
-        assert h2.edges_by_label() == h.edges_by_label() == h3.edges_by_label()
+        assert edges_by_label(h2) == edges_by_label(h) == edges_by_label(h3)
 
     def test_build_write_read_preserves_label_structure(self):
         rng = np.random.default_rng(2)
@@ -79,7 +78,7 @@ class TestRoundTrip:
             h1 = random_hypergraph(rng, 12, 18, weighted=True)
             h2 = read_edge_list(io.StringIO(hypergraph_to_text(h1)))
             assert h2.n == h1.n
-            assert h2.edges_by_label() == h1.edges_by_label()
+            assert edges_by_label(h2) == edges_by_label(h1)
 
     def test_gzip_round_trip(self, tmp_path):
         h = Hypergraph(3, [[0, 1], [1, 2]], weights=[1.5, 2.0])
@@ -88,96 +87,13 @@ class TestRoundTrip:
         with gzip.open(path, "rt") as f:
             assert "w=1.5" in f.read()
         h2 = read_edge_list(path)
-        assert h2.edges_by_label() == h.edges_by_label()
+        assert edges_by_label(h2) == edges_by_label(h)
 
     def test_plain_file_round_trip(self, tmp_path):
         h = Hypergraph(4, [[0, 1, 2], [2, 3]])
         path = tmp_path / "h.txt"
         write_edge_list(h, path)
-        assert read_edge_list(path).edges_by_label() == h.edges_by_label()
-
-
-def simplex_stream(nverts, flat_nodes) -> Hypergraph:
-    """Read a simplex stream given as in-memory sizes and member labels."""
-    return read_simplex_stream(
-        io.StringIO("".join(f"{size}\n" for size in nverts)),
-        io.StringIO("".join(f"{label}\n" for label in flat_nodes)),
-    )
-
-
-def dropped_count(caplog) -> int:
-    """Single-node simplices the reader logged as dropped (0 if none)."""
-    counts = [re.fullmatch(r"dropped (\d+) single-node simplices", r.getMessage())
-              for r in caplog.records if r.name == "hypercp.ingest"]
-    assert all(counts)
-    return sum(int(c.group(1)) for c in counts)
-
-
-class TestSimplexStream:
-    def test_duplicate_simplices_merge(self, caplog):
-        h = simplex_stream([2, 2], ["1", "2", "2", "1"])
-        assert dropped_count(caplog) == 0
-        assert h.m == 1
-        assert h.weights.tolist() == [2.0]
-
-    def test_singletons_dropped(self, caplog):
-        h = simplex_stream([3, 1], ["1", "2", "3", "4"])
-        assert dropped_count(caplog) == 1
-        assert h.m == 1 and len(h.edges[0]) == 3
-
-    def test_within_simplex_duplicates_collapse(self, caplog):
-        h = simplex_stream([3], ["5", "5", "5"])
-        assert dropped_count(caplog) == 1
-        assert h.m == 0
-
-    def test_multiplicity_weight(self):
-        h = simplex_stream([2] * 7, ["a", "b"] * 7)
-        assert h.weights.tolist() == [7.0]
-
-    def test_weight_sum_counts_simplices(self, caplog):
-        rng = np.random.default_rng(3)
-        nverts, flat = [], []
-        big = 0
-        for _ in range(50):
-            size = int(rng.integers(1, 5))
-            nverts.append(size)
-            flat.extend(str(x) for x in rng.choice(20, size=size, replace=False))
-            if size >= 2:
-                big += 1
-        h = simplex_stream(nverts, flat)
-        assert float(h.weights.sum()) == float(big)
-        assert dropped_count(caplog) == 50 - big
-
-    def test_order_independence(self):
-        rng = np.random.default_rng(4)
-        simplices = [["a", "b"], ["c", "d", "e"], ["a", "b"], ["e", "a"]]
-        perm = [simplices[i] for i in rng.permutation(4)]
-
-        def to_h(sims):
-            return simplex_stream([len(s) for s in sims], [x for s in sims for x in s])
-
-        assert to_h(simplices).edges_by_label() == to_h(perm).edges_by_label()
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="members"):
-            simplex_stream([2, 2], ["1", "2", "3"])
-
-    def test_file_reader(self, tmp_path, caplog):
-        (tmp_path / "nverts.txt").write_text("2\n3\n1\n")
-        (tmp_path / "simplices.txt").write_text("10\n11\n10\n11\n12\n99\n")
-        h = read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
-        assert h.m == 2
-        assert h.n == 3  # '99' only appears in the dropped singleton
-        assert dropped_count(caplog) == 1
-
-    def test_stream_loader_validates(self, tmp_path):
-        (tmp_path / "nverts.txt").write_text("2\n2\n")
-        (tmp_path / "simplices.txt").write_text("1\n2\n3\n")
-        with pytest.raises(ValueError, match="members"):
-            read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
-        (tmp_path / "nverts.txt").write_text("3\n0\n")
-        with pytest.raises(ValueError, match="size must be >= 1"):
-            read_simplex_stream(tmp_path / "nverts.txt", tmp_path / "simplices.txt")
+        assert edges_by_label(read_edge_list(path)) == edges_by_label(h)
 
 
 class TestLabelSet:
@@ -220,7 +136,7 @@ def test_write_read_write_keeps_bytes_and_structure(case, scale):
     text = hypergraph_to_text(h)
     assert text == _text_from_oracle(n, edges, weights)
     h2 = read_edge_list(io.StringIO(text))
-    assert h2.edges_by_label() == h.edges_by_label()
+    assert edges_by_label(h2) == edges_by_label(h)
     # rereading reindexes labels by first appearance, so lines may
     # reorder, but each line's labels and weight bytes survive
     def lines(t):
@@ -233,18 +149,27 @@ def test_write_read_write_keeps_bytes_and_structure(case, scale):
 # labels the text format can hold: no whitespace or '#', no leading '%'
 _LABEL = st.text(alphabet='abc,"%1', min_size=1, max_size=3).filter(
     lambda lab: not lab.startswith("%"))
+_ROW = st.lists(_LABEL, min_size=2, max_size=6).filter(lambda row: len(set(row)) >= 2)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_LABEL, min_size=2, max_size=6).filter(lambda row: len(set(row)) >= 2),
-                max_size=25))
-def test_edge_list_and_simplex_stream_agree(rows):
-    # one simplex per line: both readers intern labels by first appearance,
-    # collapse repeated labels in a row and count repeated rows as weight
-    from_text = read_edge_list(io.StringIO("".join(" ".join(row) + "\n" for row in rows)))
-    from_stream = simplex_stream([len(row) for row in rows], [lab for row in rows for lab in row])
-    assert from_stream.n == from_text.n
-    assert from_stream.labels == from_text.labels
-    assert from_stream.offsets.tolist() == from_text.offsets.tolist()
-    assert from_stream.members.tolist() == from_text.members.tolist()
-    assert from_stream.weights.tolist() == from_text.weights.tolist()
+@given(st.lists(st.tuples(_ROW, st.sampled_from([None, 0.5, 3.0])), min_size=1, max_size=8)
+       .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=25)))
+@example([(["a", "b", "a"], None), (["b", "a"], 0.5), (["c", "a"], None), (["a", "b"], None)])
+def test_edge_list_reader_matches_dict_merge_oracle(rows):
+    # rows drawn from a small pool repeat; labels from a small alphabet
+    # repeat within a row.  Labels are interned by first appearance, a
+    # repeated label collapses within its edge and repeated rows
+    # (as label sets) merge, their weights summed in file order.
+    text = "".join(" ".join(row) + ("" if w is None else f" # w={w!r}") + "\n" for row, w in rows)
+    h = read_edge_list(io.StringIO(text))
+    labels = list(dict.fromkeys(lab for row, _ in rows for lab in row))
+    index = {lab: i for i, lab in enumerate(labels)}
+    offsets, members, weights = canonical_incidence(
+        len(labels), [[index[lab] for lab in row] for row, _ in rows],
+        [1.0 if w is None else w for _, w in rows])
+    assert h.n == len(labels)
+    assert h.labels == labels
+    assert h.offsets.tolist() == offsets.tolist()
+    assert h.members.tolist() == members.tolist()
+    assert h.weights.tolist() == weights.tolist()

@@ -22,6 +22,7 @@ from hypercp.solver import _log_gradient, _log_step
 
 from helpers import (
     dense_gradient,
+    edge_tuples,
     longdouble_fixed_point,
     naive_objective,
     plain_map_steps,
@@ -44,7 +45,8 @@ class TestConfig:
         assert cfg.contraction_factor == pytest.approx(0.9)
         assert cfg.p_conjugate == pytest.approx(1.1)
 
-    @pytest.mark.parametrize("p,q", [(10.0, 10.0), (9.0, 10.0), (11.0, 1.0), (11.0, 0.5)])
+    @pytest.mark.parametrize("p,q", [(10.0, 10.0), (9.0, 10.0), (11.0, 1.0), (11.0, 0.5),
+                                     (math.inf, 10.0), (math.inf, math.inf), (math.nan, 10.0)])
     def test_rejects_bad_exponents(self, p, q):
         with pytest.raises(ValueError, match="p > q > 1"):
             SolverConfig(p=p, q=q)
@@ -218,7 +220,7 @@ class TestIterationMap:
         # spread over up to 30 decades; isolated nodes stay at score 0
         rng = np.random.default_rng(seed)
         core = random_hypergraph(rng, n, m, smax=min(5, n), weighted=True)
-        h = Hypergraph(n + isolated, list(core.edges), weights=core.weights)
+        h = Hypergraph(n + isolated, edge_tuples(core), weights=core.weights)
         q, p = qp
         active = h.degrees > 0
         u = np.full(h.n, -np.inf)
@@ -447,6 +449,22 @@ class TestSolver:
         messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
         assert messages == ["1 non-isolated node scores underflowed to 0"]
 
+    @pytest.mark.parametrize("seed,p", [*((s, p) for s in range(12) for p in (11.0, 10.1)), (None, 10.2)])
+    def test_cert_bound_covers_map_rounding(self, seed, p):
+        # at tolerances near 1e-13 the map's own rounding, not the step,
+        # sets the error: solves like these came back converged with errors
+        # of 3e-14 to 1.7e-13 over a cert_bound of 4e-15 or exactly 0
+        if seed is None:
+            h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[1e300, 1, 1, 1, 1])
+            rule, tol = UNIT, 1e-14
+        else:
+            h = random_hypergraph(np.random.default_rng(seed), 8, 10, weighted=True)
+            rule, tol = XiRule.WEIGHTED_RECIPROCAL, 1e-15
+        res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=rule, tol=tol))
+        err = np.max(np.abs(np.log(res.scores / longdouble_fixed_point(h, rule, p, 10.0, tol=1e-18))))
+        assert err <= res.cert_bound
+        assert err <= tol or not res.converged
+
     def test_map_count_pinned(self):
         # a p-sweep-shaped instance (sizes 3-7, weighted xi) over the
         # sweep's p grid took 301 maps in all when this pin was set; a
@@ -510,7 +528,7 @@ class TestDeskScaleOptimality:
 
         xiv = xi_values(h, cfg.xi)
         total = np.zeros(pts.shape[0])
-        for j, e in enumerate(h.edges):
+        for j, e in enumerate(edge_tuples(h)):
             total += xiv[j] * np.sum(pts[:, list(e)] ** cfg.q, axis=1) ** (1 / cfg.q)
         return float(np.max(total / norms))
 
