@@ -30,22 +30,24 @@ __all__ = [
     "umhs",
 ]
 
+PAIR_BUDGET = 50_000_000  # most node pairs a clique expansion accumulates
 
-def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000, scale_exp: int = 0) -> sp.csr_matrix:
+
+def _clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
     """Symmetric clique-expansion adjacency with zero diagonal: entry (i, j)
     is 2^-scale_exp times the total weight of the hyperedges containing
     both nodes; the weights are scaled before they are summed, which is
     exact and lets a caller keep the sums finite.  An edge of size s gives
-    s*(s-1)/2 pairs, so the cost is guarded by `pair_budget`.
+    s*(s-1)/2 pairs, so the cost is guarded by `PAIR_BUDGET`.
     """
     import scipy.sparse as sp
 
     sizes = h.sizes.astype(np.int64)
     pair_count = int(np.sum(sizes * (sizes - 1) // 2))
-    if pair_count > pair_budget:
+    if pair_count > PAIR_BUDGET:
         raise ValueError(
             f"clique expansion needs {pair_count} pair accumulations, "
-            f"over the budget of {pair_budget}"
+            f"over the budget of {PAIR_BUDGET}"
         )
     # A = B^T diag(w) B minus its diagonal, B the edge-by-node incidence
     a = (h.incidence.T @ sp.diags(np.ldexp(h.weights, -scale_exp)) @ h.incidence).tocsr()
@@ -54,14 +56,14 @@ def _clique_adjacency(h: Hypergraph, pair_budget: int = 50_000_000, scale_exp: i
     return a
 
 
-def clique_expansion(h: Hypergraph, pair_budget: int = 50_000_000) -> Hypergraph:
+def clique_expansion(h: Hypergraph) -> Hypergraph:
     """Flatten a hypergraph to the 2-uniform hypergraph of its clique
     expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
     the total weight of the hyperedges containing both.  Raises
     ValueError when such a total overflows float64."""
     import scipy.sparse as sp
 
-    pairs = sp.triu(_clique_adjacency(h, pair_budget), k=1).tocoo()
+    pairs = sp.triu(_clique_adjacency(h), k=1).tocoo()
     if not np.all(np.isfinite(pairs.data)):
         raise ValueError("a pair weight of the clique expansion overflows float64")
     members = np.column_stack([pairs.row, pairs.col]).ravel()

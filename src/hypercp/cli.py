@@ -237,7 +237,10 @@ def cmd_compare(args) -> int:
 
 def cmd_rerun(args) -> int:
     with open(args.manifest) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{args.manifest}: {exc}") from None
     sub = manifest.get("subcommand") if isinstance(manifest, dict) else None
     if not (isinstance(sub, str) and isinstance(manifest.get("options"), dict)):
         raise ValueError(f"{args.manifest}: not a JSON object with a 'subcommand' string "

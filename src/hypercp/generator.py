@@ -34,6 +34,8 @@ __all__ = [
     "hypercycle",
 ]
 
+CANDIDATE_BUDGET = 10_000_000  # most candidate subsets `sample` enumerates
+
 
 @dataclasses.dataclass(frozen=True)
 class GeneratorConfig:
@@ -97,30 +99,10 @@ def candidate_count(n: int, max_size: int) -> int:
     return sum(comb(n, r) for r in range(2, max_size + 1))
 
 
-def _candidate_probabilities(cfg: GeneratorConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All candidate rank-subsets and their probabilities, one block per size.
-
-    Returns (blocks, probs): blocks[j] is an array with one row per
-    candidate of size j + 2, holding 0-based rank offsets in
-    lexicographic order, and probs[j] holds their inclusion probabilities.
-    """
-    blocks = []
-    probs = []
-    for r in range(2, cfg.max_size + 1):
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(cfg.n), r)),
-            dtype=np.int64,
-            count=comb(cfg.n, r) * r,
-        ).reshape(-1, r)
-        probs.append(edge_probability(combos + 1, cfg))
-        blocks.append(combos)
-    return blocks, probs
-
-
-def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, np.ndarray]:
+def sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
     """Draw one hypergraph from the model.
 
-    Enumerates every candidate subset (guarded by `budget`), includes
+    Enumerates every candidate subset (at most `CANDIDATE_BUDGET`), includes
     each independently with its model probability, and returns the
     hypergraph over observed node labels together with the planted
     ranks: ranks[i] is the 1-based coreness rank of observed node i.
@@ -128,9 +110,9 @@ def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, 
     detectors cannot read the planted order off the labels.
     """
     total = candidate_count(cfg.n, cfg.max_size)
-    if total > budget:
+    if total > CANDIDATE_BUDGET:
         raise ValueError(
-            f"candidate subset count {total} exceeds budget {budget}; "
+            f"candidate subset count {total} exceeds budget {CANDIDATE_BUDGET}; "
             "this exact enumerate-and-flip sampler is desk-scale only"
         )
     rng = np.random.default_rng(cfg.seed)
@@ -143,9 +125,15 @@ def sample(cfg: GeneratorConfig, budget: int = 10_000_000) -> tuple[Hypergraph, 
     node_of_rank = np.empty(cfg.n, dtype=np.int64)
     node_of_rank[ranks - 1] = np.arange(cfg.n)
 
-    blocks, probs = _candidate_probabilities(cfg)
-    # combos hold rank-1 offsets 0..n-1 for ranks 1..n
-    kept = [node_of_rank[combos[rng.random(p.shape[0]) < p]] for combos, p in zip(blocks, probs)]
+    kept = []
+    for r in range(2, cfg.max_size + 1):
+        # every candidate of size r in lexicographic order, as rank-1 offsets 0..n-1
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(cfg.n), r)),
+            dtype=np.int64,
+            count=comb(cfg.n, r) * r,
+        ).reshape(-1, r)
+        kept.append(node_of_rank[combos[rng.random(len(combos)) < edge_probability(combos + 1, cfg)]])
     sizes = np.concatenate([np.full(len(edges), edges.shape[1]) for edges in kept])
     h = Hypergraph.from_flat(cfg.n, sizes, np.concatenate([edges.ravel() for edges in kept]))
     return h, ranks

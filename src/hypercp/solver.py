@@ -22,17 +22,17 @@ relative error, the Jacobian's norm is 2c, so there the bound is an
 estimate that a solve on a sparse hypergraph can exceed by a small
 factor (tests/test_solver.py).
 
-The objective, its gradient, the map and the eigen-residual share one
-kernel of two sparse matrix-vector products with the incidence matrix B
-of the hypergraph.  It takes log scores w = log(x / max(x)) <= 0 and
-forms z^q as exp(q * w); with e = B z^q (the edge q-power sums of z),
+There is one map, taken in logs, and one kernel of two sparse
+matrix-vector products with the incidence matrix B of the hypergraph.
+It takes log scores w = log(x / max(x)) <= 0 and forms z^q as
+exp(q * w); with e = B z^q (the edge q-power sums of z),
 
     log gradient = (q-1) * w + log B^T (xi * e^(1/q - 1))   (0-homogeneous in x)
     log T x      = (log gradient) / (p-1), shifted to give T x unit p-norm
     objective    = max(x) * sum over edges of xi * e^(1/q).
 
-Checks that share none of this code (a dense gradient, a longdouble
-fixed point) live in `tests/helpers.py`.
+`objective_gradient` and `iteration_map` return exp of the first two.
+Oracles that share none of this code live in `tests/helpers.py`.
 
 With q around 10, raw powers of x under/overflow readily.  In logs no
 score underflows during a solve, and the one global shift keeps every
@@ -42,8 +42,8 @@ smallest normal float, and only those edges are recomputed with their
 own largest log score r_e as the shift; their kernel term carries
 exp((1-q) r_e).  That factor overflows, and the kernel fails, for an
 edge whose largest member is below about e^(-709/(q-1)) * max(x) (about
-5e-35 at q=10).  The returned scores are exp(u) in floats, so a score
-below the float range underflows to 0; `hypernsm` flags it.
+5e-35 at q=10).  Scores leave the logs as exp(u) in floats, so only a
+score below the float range underflows to 0; `hypernsm` flags it.
 """
 
 from __future__ import annotations
@@ -138,14 +138,6 @@ class SolverResult:
         }
 
 
-def _pnorm(x: np.ndarray, p: float) -> float:
-    """||x||_p with max-rescaling; x assumed nonnegative."""
-    mx = float(np.max(x, initial=0.0))
-    if mx == 0.0:
-        return 0.0
-    return mx * float(np.sum((x / mx) ** p)) ** (1.0 / p)
-
-
 def _log_pnorm(a: np.ndarray, p: float) -> float:
     """log ||exp(a)||_p, taken about max(a) so that no power overflows."""
     top = float(a.max())
@@ -227,30 +219,26 @@ def _log_step(log_y: np.ndarray, p: float) -> np.ndarray:
     return g
 
 
-def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """Gradient map of the objective, on floats; the solver forms its log
-    from the same kernel (`_log_gradient`).
-
-    Requires x > 0 on every non-isolated node (the map is only defined
-    on the positive cone); isolated nodes may be 0 and map to 0.
-    """
+def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
+    """`_log_gradient` at x >= 0, which must be positive on non-isolated nodes."""
     x = score_vector(x, h.n)
-    if np.any(x[h.degrees > 0] <= 0.0):
+    if np.any(x < 0.0) or np.any(x[h.degrees > 0] == 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
-    z = x / np.max(x)
-    return z ** (q - 1.0) * _edge_kernel(h, xi_vector(h, xi), _log(z), q)
+    return _log_gradient(h, xi_vector(h, xi), _log(x), q)
+
+
+def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
+    """Gradient of the objective at x (0-homogeneous: isolated nodes map
+    to 0), as exp of the log gradient that `hypernsm` forms."""
+    return np.exp(_map_log_gradient(h, xi, x, q))
 
 
 def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
-    """One full solver step: gradient, p*-normalization, 1/(p-1) power.
-
-    Scale-invariant (the same output for any positive multiple of x);
-    iterated, it converges at the linear rate (q-1)/(p-1).  The output
-    has unit p-norm by construction.  It is taken on floats, so its
-    output underflows where the solver's map, taken in logs, does not.
+    """One step T x: gradient, p*-normalization, 1/(p-1) power, as exp of
+    the map in logs that `hypernsm` iterates.  Scale-invariant, with unit
+    p-norm; iterated, it converges at the linear rate (q-1)/(p-1).
     """
-    y = objective_gradient(h, xi, x, q)
-    return (y / _pnorm(y, p / (p - 1.0))) ** (1.0 / (p - 1.0))
+    return np.exp(_log_step(_map_log_gradient(h, xi, x, q), p))
 
 
 def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -319,7 +307,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     accepts it whatever its step, clears the memory and refills it with
     plain steps before it extrapolates again; no map is spent twice.
     Non-convergence within cfg.max_iter is flagged, not raised; the best
-    point's T x and bound are returned.
+    point's T x and bound are returned, as they are when cfg.tol is below
+    the map's rounding term and c * d_T(x, T x) within it.
 
     The scores are exp(u), taken once at the end.  A non-isolated score
     below the float range underflows to 0 there ("underflowed"): that
@@ -387,8 +376,12 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
                 u = g.copy()
                 u[sel] = extrapolated
             continue
-        # No progress: take the best point's plain step and clear the
-        # memory; plain steps refill it before extrapolation resumes.
+        # No progress.  Stop if the map's rounding alone keeps cert_bound
+        # over tol and the step is within it; else take the best point's
+        # plain step and clear the memory, which plain steps refill.
+        floor = map_rounding * np.ptp(best_g[sel])
+        if floor > (1.0 - c) * cfg.tol and c * best_r <= floor:
+            break
         u, plain, hold = best_g, True, ANDERSON_MEMORY
         accel.clear()
 
@@ -409,8 +402,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     rounding = map_rounding * float(np.ptp(best_g[sel]))
     slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
     cert_bound = None if underflowed else (c * best_r + slack) / (1.0 - c)
-    log_y = (q - 1.0) * w + _log(v)
-    lam = float(np.ldexp(np.exp(_log_pnorm(log_y, cfg.p_conjugate)), xi_exp))
+    lam = float(np.ldexp(np.exp(_log_pnorm((q - 1.0) * w + _log(v), cfg.p_conjugate)), xi_exp))
     return SolverResult(
         scores=x,
         eigenvalue=lam,
@@ -430,15 +422,15 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     satisfies  N(z) = lambda * z  where N applies, per edge, the power
     q/(p-q) to the node scores, sums within the edge, raises the sum to
     1/q - 1, and accumulates xi-weighted edge values back onto nodes.
-    Returns ||N(z) - lambda*z||_2 / ||z||_2.  N is evaluated with the
-    gradient's edge kernel, so edges whose q-power sums underflow are
+    Returns lambda * ||N(z)/lambda - z||_2 / ||z||_2, whose squares stay
+    finite where a huge xi overflows those of N(z).  N is evaluated with
+    the gradient's edge kernel, so edges whose q-power sums underflow are
     rescaled exactly as in the iteration; the independent oracles are
     in `tests/helpers.py`.
     """
     w = np.asarray(result.scores, dtype=np.float64)
-    q, p = cfg.q, cfg.p
+    q, p, lam = cfg.q, cfg.p, result.eigenvalue
     mx = np.max(w)
     lhs = mx ** (1.0 - q) * _edge_kernel(h, xi_vector(h, cfg.xi), _log(w / mx), q)
     z = w ** (p - q)
-    # max-rescaled 2-norms: with a huge xi, squaring the entries overflows
-    return _pnorm(np.abs(lhs - result.eigenvalue * z), 2.0) / _pnorm(z, 2.0)
+    return lam * float(np.linalg.norm(lhs / lam - z) / np.linalg.norm(z))

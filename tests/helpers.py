@@ -95,6 +95,17 @@ def dense_gradient(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> np.n
     return x ** (q - 1.0) * (b @ (xi_values(h, rule) * y ** (1.0 / q - 1.0)))
 
 
+def longdouble_map(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
+    """The map T x in np.longdouble from `dense_gradient`: the gradient,
+    divided by its p*-norm (p* = p/(p-1)), raised to 1/(p-1).  Raw powers
+    of x are in range there for scores down to about 1e-490 at q=10."""
+    ld = np.longdouble
+    p = ld(p)
+    y = dense_gradient(h, rule, np.asarray(x, dtype=ld), ld(q))
+    pstar = p / (p - 1)
+    return (y / np.sum(y**pstar) ** (1 / pstar)) ** (1 / (p - 1))
+
+
 def longdouble_fixed_point(
     h: Hypergraph, rule: XiRule, p: float, q: float, tol: float = 1e-14, max_iter: int = 100_000
 ) -> np.ndarray:

@@ -84,9 +84,11 @@ class TestCliqueExpansion:
         assert clique_expansion(g) == g
 
     def test_pair_budget(self):
-        h = Hypergraph(30, [list(range(30))])
+        # one edge of 10,001 nodes has 50,005,000 pairs, just over the budget;
+        # the guard raises before any pair is built
+        h = Hypergraph(10_001, [list(range(10_001))])
         with pytest.raises(ValueError, match="budget"):
-            clique_expansion(h, pair_budget=100)
+            clique_expansion(h)
 
 
 class TestGraphNsm:

@@ -255,7 +255,7 @@ class TestCompare:
         }
         assert before == after
 
-    @pytest.mark.parametrize("text", ["{}", "[]", '{"subcommand": "detect"}',
+    @pytest.mark.parametrize("text", ["not json", "{}", "[]", '{"subcommand": "detect"}',
                                       '{"subcommand": "detect", "options": []}'])
     def test_rerun_reports_bad_manifest(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"

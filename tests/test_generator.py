@@ -122,7 +122,7 @@ class TestSample:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
-            sample(GeneratorConfig(n=40, max_size=10), budget=1000)
+            sample(GeneratorConfig(n=40, max_size=10))  # 1.22e9 candidates
 
     def test_candidate_count(self):
         assert candidate_count(10, 10) == 2**10 - 11

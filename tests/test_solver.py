@@ -16,14 +16,13 @@ from hypercp import (
     objective,
     objective_gradient,
     thompson_distance,
-    xi_vector,
 )
-from hypercp.solver import _log_gradient, _log_step
 
 from helpers import (
     dense_gradient,
     edge_tuples,
     longdouble_fixed_point,
+    longdouble_map,
     naive_objective,
     plain_map_steps,
     random_hypergraph,
@@ -155,6 +154,14 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="positive"):
             objective_gradient(h, RECIP, np.array([1.0, 0.0]), 10.0)
 
+    @pytest.mark.parametrize("fn", [objective_gradient, lambda *a: iteration_map(*a, 11.0)],
+                             ids=["objective_gradient", "iteration_map"])
+    def test_rejects_negative_on_isolated_node(self, fn):
+        # its log is NaN, which would turn every output entry to NaN
+        h = Hypergraph(3, [[0, 1]])
+        with pytest.raises(ValueError, match="positive"):
+            fn(h, RECIP, np.array([1.0, 1.0, -1.0]), 10.0)
+
 
 class TestIterationMap:
     def test_scale_invariance(self):
@@ -215,8 +222,8 @@ class TestIterationMap:
         qp=st.sampled_from([(10.0, 12.0), (10.0, 11.0), (10.0, 10.1), (3.0, 4.0), (2.0, 7.0)]),
         decades=st.floats(0.0, 30.0),
     )
-    def test_log_map_matches_iteration_map(self, seed, n, m, isolated, rule, qp, decades):
-        # the solver's map, taken in logs, against the float map on scores
+    def test_map_matches_longdouble_map(self, seed, n, m, isolated, rule, qp, decades):
+        # the map, taken in logs, against a dense longdouble map on scores
         # spread over up to 30 decades; isolated nodes stay at score 0
         rng = np.random.default_rng(seed)
         core = random_hypergraph(rng, n, m, smax=min(5, n), weighted=True)
@@ -225,10 +232,20 @@ class TestIterationMap:
         active = h.degrees > 0
         u = np.full(h.n, -np.inf)
         u[active] = rng.uniform(-decades, 0.0, size=n) * math.log(10.0) + rng.normal()
-        got = _log_step(_log_gradient(h, xi_vector(h, rule), u, q), p)
-        want = np.log(iteration_map(h, rule, np.exp(u), q, p)[active])
-        assert np.max(np.abs(got[active] - want)) <= 1e-12
-        assert np.all(got[~active] == -np.inf)
+        x = np.exp(u)
+        got = iteration_map(h, rule, x, q, p)
+        want = np.log(longdouble_map(h, rule, x, q, p)[active])
+        assert np.max(np.abs(np.log(got[active]) - want)) <= 1e-12
+        assert np.all(got[~active] == 0.0)
+
+    def test_map_at_path_fixed_point_matches_longdouble_map(self):
+        # p=10.1: scores fall to 1.5e-35 below the max.  Maps taken on
+        # floats made gradient entries subnormal there and ended 1.8e-9 off
+        h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[1e300, 1, 1, 1, 1])
+        x = longdouble_fixed_point(h, UNIT, 10.1, 10.0)
+        want = longdouble_map(h, UNIT, x, 10.0, 10.1)
+        assert np.min(x) < 1e-34
+        assert np.max(np.abs(iteration_map(h, UNIT, x, 10.0, 10.1) / want - 1.0)) <= 1e-12
 
 
 class TestThompsonDistance:
@@ -464,6 +481,8 @@ class TestSolver:
         err = np.max(np.abs(np.log(res.scores / longdouble_fixed_point(h, rule, p, 10.0, tol=1e-18))))
         assert err <= res.cert_bound
         assert err <= tol or not res.converged
+        # the map's rounding, not max_iter, ends a solve that cannot reach tol
+        assert res.iterations < 1000
 
     def test_map_count_pinned(self):
         # a p-sweep-shaped instance (sizes 3-7, weighted xi) over the
