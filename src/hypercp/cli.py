@@ -74,8 +74,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol", type=float, default=1e-8,
-        help="hypernsm and graphnsm: bound on the max relative score error (the contraction "
-        "bound, hypercp.solver); borgatti-everett: relative 2-norm change per step (default 1e-8)",
+        help="hypernsm and graphnsm: converged means cert_bound <= tol, cert_bound an estimate "
+        "of the max relative score error that a sparse solve can exceed by a small factor "
+        "(hypercp.solver); borgatti-everett: relative 2-norm change per step (default 1e-8)",
     )
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)

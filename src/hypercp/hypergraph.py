@@ -10,11 +10,12 @@ object is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`), and every caller reads it directly.  Derived
-from it, built on first use and cached: the 0/1 incidence matrix B
-(m x n, `scipy.sparse` CSR) that the solver's kernel multiplies by, and
-its transpose, which also gives the node degrees and the node -> edge
-lists.  scipy itself is imported only then, so code that never needs B
-never loads it.
+from it, built on first use and cached, as `scipy.sparse` CSR matrices:
+the 0/1 incidence matrix B (m x n) in edge order, which the clique
+expansion reads, and one grouped pair that the solver's kernel
+multiplies by (`GroupedIncidence`): B with its edges grouped by size,
+and its transpose, which also gives the node -> edge lists.  scipy
+itself is imported only then, so code that never needs B never loads it.
 
 Outside node ids, score vectors and integer settings (counts and seeds)
 have one check each: `node_ids`, `score_vector` and `int_setting`.  Edge
@@ -29,7 +30,7 @@ import functools
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -125,6 +126,24 @@ def _read_only(a: sp.csr_matrix) -> sp.csr_matrix:
     return a
 
 
+class GroupedIncidence(NamedTuple):
+    """The incidence matrix B with its edges grouped by size.
+
+    order : the edge ids sorted by size, stably: each size's edges stay
+        in ascending id order.
+    b : B with its rows taken in `order` (m x n, CSR): row k is edge order[k].
+    bt : B transposed (n x m, CSR) with edge order[k] renumbered k.  Row
+        i lists node i's edges in ascending (canonical) id order, so a
+        product with it adds the same terms in the same order as the
+        canonical transpose does.  Its rows are therefore not sorted by
+        column, and must stay so: sorted, the sums would change bits.
+    """
+
+    order: np.ndarray
+    b: sp.csr_matrix
+    bt: sp.csr_matrix
+
+
 class Hypergraph:
     """Canonical in-memory hypergraph.
 
@@ -145,9 +164,10 @@ class Hypergraph:
 
     Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
     ``weights[e]``; these read-only arrays are the whole incidence.
-    `incidence` (B) and `incidence_t` (B transposed) are read-only
-    `scipy.sparse` CSR matrices built from them on first access, which is
-    also when scipy is first imported.
+    `incidence` (B) and `grouped_incidence` (B with its edges grouped by
+    size, and its transpose) are read-only `scipy.sparse` CSR matrices
+    built from them on first access, which is also when scipy is first
+    imported.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]],
@@ -246,7 +266,7 @@ class Hypergraph:
     @property
     def degrees(self) -> np.ndarray:
         """Per-node count of incident edges (a fresh int64 array)."""
-        return np.diff(self.incidence_t.indptr).astype(np.int64)
+        return np.diff(self.grouped_incidence.bt.indptr).astype(np.int64)
 
     def degree_sum(self) -> int:
         """Total incidence count: sum of |e| over all edges.
@@ -267,15 +287,33 @@ class Hypergraph:
         return _read_only(b)
 
     @functools.cached_property
-    def incidence_t(self) -> sp.csr_matrix:
-        """B transposed (n x m), CSR, read-only: row i lists the edges
-        containing node i in ascending order."""
-        return _read_only(self.incidence.T.tocsr())
+    def grouped_incidence(self) -> GroupedIncidence:
+        """B with its edges grouped by size, and its transpose (see
+        `GroupedIncidence`); read-only, sharing one all-ones data array.
+        The solver's kernel multiplies by these (see `hypercp.solver`)."""
+        import scipy.sparse as sp
+
+        m, n, sizes = self.m, self.n, self.sizes
+        # a stable sort; on the smallest dtype that holds the sizes, numpy radix-sorts
+        order = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))), kind="stable")
+        ones = np.ones(self.members.size)
+        ones.flags.writeable = False
+        # B in edge order, only to be permuted and transposed: 1-byte data
+        canonical = sp.csr_matrix((ones.astype(bool), self.members, self.offsets), shape=(m, n))
+        rows = canonical[order]
+        b = sp.csr_matrix((ones, rows.indices, rows.indptr), shape=(m, n))
+        # the canonical transpose (each node's edges ascending), its edge ids renumbered
+        t = canonical.T.tocsr()
+        rank = np.empty(m, dtype=t.indices.dtype)
+        rank[order] = np.arange(m)
+        bt = sp.csr_matrix((ones, rank[t.indices], t.indptr), shape=(n, m))
+        order.flags.writeable = False
+        return GroupedIncidence(order, _read_only(b), _read_only(bt))
 
     def incident_edges(self, node: int) -> np.ndarray:
         """Edge ids containing `node`, in ascending order."""
-        bt = self.incidence_t
-        return bt.indices[bt.indptr[node] : bt.indptr[node + 1]]
+        g = self.grouped_incidence
+        return g.order[g.bt.indices[g.bt.indptr[node] : g.bt.indptr[node + 1]]]
 
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""

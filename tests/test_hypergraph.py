@@ -22,6 +22,8 @@ from hypercp import (
     xi_vector,
 )
 
+from hypercp.solver import _edge_kernel
+
 from helpers import canonical_incidence, edge_tuples, random_hypergraph
 
 
@@ -195,16 +197,19 @@ def test_labels_validated():
 
 
 def test_immutability_of_arrays():
-    h = Hypergraph(3, [[0, 1], [1, 2]])
+    h = Hypergraph(4, [[0, 1, 2], [1, 2], [2, 3]])
     with pytest.raises(ValueError):
         h.weights[0] = 5.0
     with pytest.raises(ValueError):
         h.members[0] = 2
-    for b in (h.incidence, h.incidence_t):
-        with pytest.raises(ValueError):
-            b.data[0] = 2.0
-        with pytest.raises(ValueError):
-            b.indices[0] = 2
+    order, b, bt = h.grouped_incidence
+    with pytest.raises(ValueError):
+        order[0] = 1
+    for mat in (h.incidence, b, bt):
+        for a in (mat.data, mat.indices, mat.indptr):
+            with pytest.raises(ValueError):
+                a[0] = 2
+    assert np.shares_memory(b.data, bt.data)  # one all-ones array
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,16 +233,45 @@ def test_construction_matches_dict_merge_oracle(case):
 def test_incidence_matrices_match_members(case):
     n, edges, weights = case
     h = Hypergraph(n, edges, weights=weights)
+    tuples = edge_tuples(h)
     dense = np.zeros((h.m, n))
-    for e in range(h.m):
-        dense[e, h.members[h.offsets[e] : h.offsets[e + 1]]] = 1.0
-    assert h.incidence.shape == (h.m, n) and h.incidence_t.shape == (n, h.m)
+    for e, members in enumerate(tuples):
+        dense[e, list(members)] = 1.0
+    assert h.incidence.shape == (h.m, n)
     assert np.array_equal(h.incidence.toarray(), dense)
-    assert np.array_equal(h.incidence_t.toarray(), dense.T)
+    order, b, bt = h.grouped_incidence
+    # edges grouped by size, each size's edges in ascending id order
+    assert sorted(order.tolist()) == list(range(h.m))
+    keys = [(len(tuples[e]), e) for e in order.tolist()]
+    assert keys == sorted(keys)
+    assert b.shape == (h.m, n) and bt.shape == (n, h.m)
+    assert np.array_equal(b.toarray(), dense[order])
+    assert np.array_equal(bt.toarray(), b.toarray().T)
     for i in range(n):
-        want = [e for e in range(h.m) if i in h.members[h.offsets[e] : h.offsets[e + 1]]]
-        assert h.incident_edges(i).tolist() == want  # ascending, as built
-    assert h.degrees.tolist() == np.bincount(h.members, minlength=n).tolist()
+        want = [e for e, members in enumerate(tuples) if i in members]
+        row = bt.indices[bt.indptr[i] : bt.indptr[i + 1]]
+        assert order[row].tolist() == want  # canonical ids, ascending
+        assert h.incident_edges(i).tolist() == want
+    assert h.degrees.tolist() == dense.sum(axis=0).astype(int).tolist()
+    for a in (order, *(x for mat in (b, bt) for x in (mat.data, mat.indices, mat.indptr))):
+        assert not a.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.integers(0, 2**32 - 1), st.sampled_from([2.0, 10.0]))
+def test_grouped_kernel_matches_canonical_product_bits(case, seed, q):
+    # grouping reorders only the edge sums; each node still adds its
+    # edges' terms in ascending id order, so no bit moves
+    n, edges, weights = case
+    h = Hypergraph(n, edges, weights=weights)
+    x = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
+    w = np.log(x / x.max())
+    b = h.incidence
+    for rule in XiRule:
+        xi = xi_vector(h, rule)
+        want = b.T @ (xi * (b @ np.exp(q * w)) ** (1.0 / q - 1.0))
+        got = _edge_kernel(h, xi[h.grouped_incidence.order], w, q)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_prefix_edges_sort_first_and_merge():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -137,10 +138,15 @@ class TestGradientMap:
     def test_underflowed_edges_rescaled(self):
         # every member of edges {2,3} and {3,4} sits ~1e-33 below the max:
         # their q-power sums underflow the global rescale, so only they
-        # are recomputed with their own max; the oracle runs in longdouble
-        h = Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[2.0, 1.0, 0.5, 3.0])
-        x = np.array([1.0, 1e-20, 1e-33, 3e-34, 1e-34])
-        for rule in XiRule:
+        # are recomputed with their own max; the oracle runs in longdouble.
+        # In the second instance the kernel's grouping by size moves the
+        # four low edges (2,3,4), (2,3,5,6), (3,4) and (4,5).
+        path = Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[2.0, 1.0, 0.5, 3.0])
+        mixed = Hypergraph(7, [[0, 1, 2], [0, 5], [1, 6], [2, 3, 4], [2, 3, 5, 6], [3, 4], [4, 5]],
+                           weights=[2.0, 1.0, 0.5, 3.0, 1.5, 0.25, 4.0])
+        cases = [(path, np.array([1.0, 1e-20, 1e-33, 3e-34, 1e-34])),
+                 (mixed, np.array([1.0, 1e-20, 1e-33, 3e-34, 1e-34, 2e-33, 5e-34]))]
+        for (h, x), rule in itertools.product(cases, XiRule):
             got = objective_gradient(h, rule, x, 10.0)
             want = dense_gradient(h, rule, x.astype(np.longdouble), 10.0)
             assert np.all(np.isfinite(got))
@@ -388,6 +394,21 @@ class TestSolver:
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
         # the residual rescales underflowing edge sums as the solver does;
         # raw powers w^q gave 3.7e-7 * lambda at weight 1e300, p=10.2
+        assert eigen_residual(h, res, cfg) <= 1e-10 * res.eigenvalue
+
+    @pytest.mark.parametrize("rule", [UNIT, XiRule.WEIGHTED_RECIPROCAL])
+    @pytest.mark.parametrize("p", [10.5, 10.2])
+    def test_mixed_size_low_edges_match_longdouble_oracle(self, rule, p):
+        # at the fixed point edges (3,4) and (4,5) sit ~1e-33 below the max
+        # and are rescued; grouping by size moves them, since edge (0,1,2)
+        # comes first in id order and last in the kernel's
+        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4], [4, 5]], weights=[1e300, 1, 1, 1])
+        cfg = SolverConfig(p=p, q=10.0, xi=rule, tol=1e-12, max_iter=5000)
+        res = hypernsm(h, cfg)
+        want = longdouble_fixed_point(h, rule, p, 10.0)
+        assert want[5] < 1e-32
+        assert res.converged
+        assert np.max(np.abs(res.scores / want - 1.0)) <= res.cert_bound
         assert eigen_residual(h, res, cfg) <= 1e-10 * res.eigenvalue
 
     def test_huge_xi_does_not_overflow(self):
