@@ -49,10 +49,15 @@ def _clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
             f"clique expansion needs {pair_count} pair accumulations, "
             f"over the budget of {PAIR_BUDGET}"
         )
-    # A = B^T diag(w) B minus its diagonal, B the edge-by-node incidence
-    a = (h.incidence.T @ sp.diags(np.ldexp(h.weights, -scale_exp)) @ h.incidence).tocsr()
+    # A = B^T (diag(w) B) minus its diagonal.  B^T stays the untouched left
+    # operand, its rows listing each node's edges in canonical order: that
+    # fixes how each pair weight is summed ((B^T diag(w)) B moves bits).
+    # Columns are sorted: the power iteration's sums read them in stored order.
+    g = h.grouped_incidence
+    a = g.bt @ (sp.diags(np.ldexp(h.weights[g.order], -scale_exp)) @ g.b)
     a.setdiag(0.0)
     a.eliminate_zeros()
+    a.sort_indices()
     return a
 
 
@@ -67,7 +72,8 @@ def clique_expansion(h: Hypergraph) -> Hypergraph:
     if not np.all(np.isfinite(pairs.data)):
         raise ValueError("a pair weight of the clique expansion overflows float64")
     members = np.column_stack([pairs.row, pairs.col]).ravel()
-    return Hypergraph.from_flat(h.n, np.full(pairs.nnz, 2), members, weights=pairs.data)
+    return Hypergraph.from_flat(h.n, np.full(pairs.nnz, 2), members, weights=pairs.data,
+                                labels=h.labels)
 
 
 def graph_nsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:

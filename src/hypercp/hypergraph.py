@@ -9,13 +9,13 @@ summed in input order, and edges are stored in lexicographic order.  The
 object is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
-`members`, `weights`), and every caller reads it directly.  Derived
-from it, built on first use and cached, as `scipy.sparse` CSR matrices:
-the 0/1 incidence matrix B (m x n) in edge order, which the clique
-expansion reads, and one grouped pair that the solver's kernel
-multiplies by (`GroupedIncidence`): B with its edges grouped by size,
-and its transpose, which also gives the node -> edge lists.  scipy
-itself is imported only then, so code that never needs B never loads it.
+`members`, `weights`), and every caller reads it directly.  Its one
+sparse form, built on first use and cached, is a pair of `scipy.sparse`
+CSR matrices (`GroupedIncidence`): the 0/1 incidence matrix B with its
+edges grouped by size, and its transpose, which also gives the node ->
+edge lists.  The solver's kernel and the clique expansion both multiply
+by it.  scipy itself is imported only then, so code that never needs B
+never loads it.
 
 Outside node ids, score vectors and integer settings (counts and seeds)
 have one check each: `node_ids`, `score_vector` and `int_setting`.  Edge
@@ -135,8 +135,9 @@ class GroupedIncidence(NamedTuple):
     bt : B transposed (n x m, CSR) with edge order[k] renumbered k.  Row
         i lists node i's edges in ascending (canonical) id order, so a
         product with it adds the same terms in the same order as the
-        canonical transpose does.  Its rows are therefore not sorted by
-        column, and must stay so: sorted, the sums would change bits.
+        canonical transpose does: the solver's kernel and the clique
+        adjacency both rely on that.  Its rows are therefore not sorted
+        by column, and must stay so: sorted, the sums would change bits.
     """
 
     order: np.ndarray
@@ -164,10 +165,10 @@ class Hypergraph:
 
     Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
     ``weights[e]``; these read-only arrays are the whole incidence.
-    `incidence` (B) and `grouped_incidence` (B with its edges grouped by
-    size, and its transpose) are read-only `scipy.sparse` CSR matrices
-    built from them on first access, which is also when scipy is first
-    imported.
+    `grouped_incidence` (B with its edges grouped by size, and its
+    transpose) is the one sparse form: read-only `scipy.sparse` CSR
+    matrices built from them on first access, which is also when scipy
+    is first imported.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]],
@@ -277,20 +278,11 @@ class Hypergraph:
         return int(self.members.size)
 
     @functools.cached_property
-    def incidence(self) -> sp.csr_matrix:
-        """0/1 edge-by-node incidence matrix B (m x n), CSR, read-only."""
-        import scipy.sparse as sp
-
-        b = sp.csr_matrix(
-            (np.ones(self.members.size), self.members, self.offsets), shape=(self.m, self.n)
-        )
-        return _read_only(b)
-
-    @functools.cached_property
     def grouped_incidence(self) -> GroupedIncidence:
         """B with its edges grouped by size, and its transpose (see
         `GroupedIncidence`); read-only, sharing one all-ones data array.
-        The solver's kernel multiplies by these (see `hypercp.solver`)."""
+        The solver's kernel (see `hypercp.solver`) and the clique
+        expansion multiply by these."""
         import scipy.sparse as sp
 
         m, n, sizes = self.m, self.n, self.sizes

@@ -177,10 +177,9 @@ def _edge_power_sums(
     low = np.flatnonzero(s < np.finfo(np.float64).tiny)
     if not low.size:
         return s, low, low
-    edges = g.order[low]
-    sizes = h.sizes[edges]
+    sizes = np.diff(g.b.indptr)[low]
     starts = np.r_[0, np.cumsum(sizes)[:-1]]
-    vals = w[h.members[row_indices(h.offsets, edges)]]
+    vals = w[g.b.indices[row_indices(g.b.indptr, low)]]
     r = np.maximum.reduceat(vals, starts)
     shift = np.repeat(np.where(r > -np.inf, r, 0.0), sizes)
     s[low] = np.add.reduceat(np.exp(q * (vals - shift)), starts)

@@ -70,6 +70,14 @@ def canonical_incidence(n: int, edges, weights=None):
     return offsets, members, np.array([merged[k] for k in keys], dtype=np.float64)
 
 
+def canonical_b(h: Hypergraph):
+    """0/1 edge-by-node incidence matrix B (m x n) in canonical edge order,
+    a scipy CSR matrix cut straight from `offsets` and `members`."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.ones(h.members.size), h.members, h.offsets), shape=(h.m, h.n))
+
+
 def dense_incidence(h: Hypergraph) -> np.ndarray:
     """0/1 node-by-edge incidence matrix, built edge by edge."""
     b = np.zeros((h.n, h.m))

@@ -1,7 +1,10 @@
+import io
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +16,14 @@ from hypercp import (
     clique_expansion,
     graph_nsm,
     hypernsm,
+    read_edge_list,
     umhs,
+    write_edge_list,
 )
+from hypercp import baselines
 
 from helpers import (
+    canonical_b,
     dense_incidence,
     edge_tuples,
     is_hitting_set,
@@ -34,6 +41,18 @@ def dense_clique_adjacency(h: Hypergraph) -> np.ndarray:
     b = dense_incidence(h)
     a = b @ np.diag(h.weights) @ b.T
     np.fill_diagonal(a, 0.0)
+    return a
+
+
+def canonical_clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
+    """B^T diag(2^-scale_exp w) B with its diagonal dropped, B in canonical
+    edge order: each pair weight summed over its edges in ascending id
+    order, the columns of each row ascending."""
+    b = canonical_b(h)
+    a = (b.T @ sp.diags(np.ldexp(h.weights, -scale_exp)) @ b).tocsr()
+    a.setdiag(0.0)
+    a.eliminate_zeros()
+    assert a.has_sorted_indices
     return a
 
 
@@ -82,6 +101,45 @@ class TestCliqueExpansion:
             got[i, j] = got[j, i] = w
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert clique_expansion(g) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 15), m=st.integers(1, 40))
+    def test_matches_canonical_product_bits(self, seed, n, m):
+        # each pair weight must be summed over its edges in canonical order,
+        # and the rows' columns must ascend, for the expansion and the
+        # power iteration to keep every bit; lognormal weights spread
+        # enough for a different order to round differently
+        rng = np.random.default_rng(seed)
+        edges = [rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
+                 for _ in range(m)]
+        h = Hypergraph(n, edges, weights=rng.lognormal(0.0, 2.0, size=m))
+        for scale_exp in (0, 5):
+            got = baselines._clique_adjacency(h, scale_exp)
+            want = canonical_clique_adjacency(h, scale_exp)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.tobytes() == b.tobytes()
+        pairs = sp.triu(canonical_clique_adjacency(h), k=1).tocoo()
+        order = np.lexsort((pairs.col, pairs.row))
+        g = clique_expansion(h)
+        assert g.members.tolist() == np.column_stack([pairs.row, pairs.col])[order].ravel().tolist()
+        assert g.weights.tobytes() == pairs.data[order].tobytes()
+        res = borgatti_everett(h)
+        with mock.patch.object(baselines, "_clique_adjacency", canonical_clique_adjacency):
+            ref = borgatti_everett(h)
+        assert res.iterations == ref.iterations
+        assert res.scores.tobytes() == ref.scores.tobytes()
+        assert np.float64(res.eigenvalue).tobytes() == np.float64(ref.eigenvalue).tobytes()
+
+    def test_keeps_labels(self):
+        h = read_edge_list(io.StringIO("a b c # w=2\nb d\n"))
+        g = clique_expansion(h)
+        assert g.labels == h.labels == ["a", "b", "c", "d"]
+        out = io.StringIO()
+        write_edge_list(g, out)
+        assert out.getvalue() == "a b # w=2.0\na c # w=2.0\nb c # w=2.0\nb d # w=1.0\n"
+        graph = read_edge_list(io.StringIO("x y # w=1.5\ny z\n"))
+        assert clique_expansion(graph) == graph
 
     def test_pair_budget(self):
         # one edge of 10,001 nodes has 50,005,000 pairs, just over the budget;

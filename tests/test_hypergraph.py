@@ -24,7 +24,7 @@ from hypercp import (
 
 from hypercp.solver import _edge_kernel
 
-from helpers import canonical_incidence, edge_tuples, random_hypergraph
+from helpers import canonical_b, canonical_incidence, edge_tuples, random_hypergraph
 
 
 @st.composite
@@ -205,7 +205,7 @@ def test_immutability_of_arrays():
     order, b, bt = h.grouped_incidence
     with pytest.raises(ValueError):
         order[0] = 1
-    for mat in (h.incidence, b, bt):
+    for mat in (b, bt):
         for a in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 a[0] = 2
@@ -237,8 +237,8 @@ def test_incidence_matrices_match_members(case):
     dense = np.zeros((h.m, n))
     for e, members in enumerate(tuples):
         dense[e, list(members)] = 1.0
-    assert h.incidence.shape == (h.m, n)
-    assert np.array_equal(h.incidence.toarray(), dense)
+    assert canonical_b(h).shape == (h.m, n)
+    assert np.array_equal(canonical_b(h).toarray(), dense)
     order, b, bt = h.grouped_incidence
     # edges grouped by size, each size's edges in ascending id order
     assert sorted(order.tolist()) == list(range(h.m))
@@ -266,7 +266,7 @@ def test_grouped_kernel_matches_canonical_product_bits(case, seed, q):
     h = Hypergraph(n, edges, weights=weights)
     x = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
     w = np.log(x / x.max())
-    b = h.incidence
+    b = canonical_b(h)
     for rule in XiRule:
         xi = xi_vector(h, rule)
         want = b.T @ (xi * (b @ np.exp(q * w)) ** (1.0 / q - 1.0))
