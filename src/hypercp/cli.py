@@ -47,7 +47,7 @@ def _atomic_write(path: Path, text: str) -> None:
     # O_EXCL never opens an existing file; 0o666 lets the umask apply as open() does
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -150,7 +150,7 @@ def cmd_detect(args) -> int:
 def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
     """Scores from a `detect` output file: the JSON payload, in node
     order, or the node,label,score CSV, matched to nodes by label."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         header = f.readline()
         if header.rstrip("\r\n") != "node,label,score":
             try:
@@ -237,7 +237,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    with open(args.manifest) as f:
+    with open(args.manifest, encoding="utf-8") as f:
         try:
             manifest = json.load(f)
         except ValueError as exc:

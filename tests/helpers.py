@@ -7,12 +7,14 @@ disagree with the implementation when it is wrong.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 
 import numpy as np
 
 from hypercp import Hypergraph, SolverConfig, XiRule, iteration_map
+from hypercp.ingest import _open_text
 
 
 def random_hypergraph(
@@ -76,6 +78,47 @@ def canonical_b(h: Hypergraph):
     import scipy.sparse as sp
 
     return sp.csr_matrix((np.ones(h.members.size), h.members, h.offsets), shape=(h.m, h.n))
+
+
+def reference_read_edge_list(source) -> Hypergraph:
+    """The edge-list reader as a per-line loop: strip, skip comments,
+    partition at the first '#', parse the weight and intern each label
+    in a dict.  `hypercp.read_edge_list` must give the same hypergraph,
+    or raise the same ValueError, for every text."""
+    index: dict[str, int] = {}
+    sizes, members = array.array("q"), array.array("q")  # int64, even when empty
+    weights: list[float] = []
+    with _open_text(source) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("%"):
+                continue
+            weight = 1.0
+            if "#" in line:
+                left, _, right = line.partition("#")
+                right = right.strip()
+                if not right.startswith("w="):
+                    raise ValueError(
+                        f"line {lineno}: expected '# w=<float>', got {right!r}"
+                    )
+                try:
+                    weight = float(right[2:])
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: bad weight {right[2:]!r}"
+                    ) from None
+                line = left
+            labels = line.split()
+            if len(set(labels)) < 2:
+                raise ValueError(
+                    f"line {lineno}: a hyperedge needs at least 2 distinct labels"
+                )
+            if not (math.isfinite(weight) and weight > 0.0):
+                raise ValueError(f"line {lineno}: weight must be positive and finite, got {weight}")
+            sizes.append(len(labels))
+            members.extend([index.setdefault(lab, len(index)) for lab in labels])
+            weights.append(weight)
+    return Hypergraph.from_flat(len(index), sizes, members, weights=weights, labels=list(index))
 
 
 def dense_incidence(h: Hypergraph) -> np.ndarray:

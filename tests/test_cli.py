@@ -345,3 +345,18 @@ print(json.dumps(loaded))
         assert outside.read_bytes() == inside.read_bytes()
         labels = [Path(f"{path}.labels.json").read_bytes() for path in (outside, inside)]
         assert labels[0] == labels[1]
+
+    def test_every_text_file_is_opened_as_utf8(self, tmp_path):
+        # an open() that leaves the encoding to the locale raises here
+        h = Hypergraph(3, [[0, 1], [1, 2]], labels=["é", "節", "x"])
+        write_edge_list(h, tmp_path / "h.txt.gz")
+        steps = (["detect", "--input", "h.txt.gz", "--out", "s.csv", "--format", "csv"],
+                 ["profile", "--input", "h.txt.gz", "--scores", "s.csv", "--out", "p.csv"],
+                 ["rerun", "s.csv.manifest.json"],
+                 ["compare", "--input", "h.txt.gz", "--out-dir", "cmp"])
+        for argv in steps:
+            proc = self.child("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                              "-m", "hypercp.cli", *argv, cwd=tmp_path)
+            assert proc.returncode == 0, (argv, proc.stderr)
+        rows = list(csv.reader((tmp_path / "s.csv").read_bytes().decode("utf-8").splitlines()))
+        assert sorted(row[1] for row in rows[1:]) == ["x", "é", "節"]

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypercp import Hypergraph, read_edge_list, write_edge_list
 from hypercp.ingest import hypergraph_to_text, read_label_set
 
-from helpers import canonical_incidence, edge_tuples, edges_by_label, random_hypergraph
+from helpers import (
+    canonical_incidence,
+    edge_tuples,
+    edges_by_label,
+    random_hypergraph,
+    reference_read_edge_list,
+)
 
 
 class TestReadEdgeList:
@@ -173,3 +179,103 @@ def test_edge_list_reader_matches_dict_merge_oracle(rows):
     assert h.offsets.tolist() == offsets.tolist()
     assert h.members.tolist() == members.tolist()
     assert h.weights.tolist() == weights.tolist()
+
+
+def _read_or_error(read, source):
+    """Everything the reader promises, or the exact error text."""
+    try:
+        h = read(source)
+    except ValueError as exc:
+        return str(exc)
+    return h.n, h.offsets.tolist(), h.members.tolist(), h.weights.tobytes(), h.labels
+
+
+def test_whitespace_sets_match_str_split():
+    from hypercp.ingest import _WIDE_SPACE, _solid
+
+    assert _solid(np.arange(256, dtype=np.uint8)).tolist() == [
+        c >= 128 or not chr(c).isspace() for c in range(256)]
+    wide = "".join(chr(c) for c in range(128, 0x110000) if chr(c).isspace())
+    assert _WIDE_SPACE.findall(wide) == list(wide)
+    assert _WIDE_SPACE.search("".join(chr(c) for c in range(128, 0x3001)
+                                      if not chr(c).isspace())) is None
+
+
+# one character of each whitespace class str.split knows, and none, which
+# glues a word to the next word or to a '#'
+_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+           "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]
+# 1-20 byte labels: NUL (so "a" and "a\0" must differ), multi-byte UTF-8,
+# a lone surrogate, and pairs that agree on their first 8 bytes
+_WORD = st.one_of(
+    st.sampled_from(["a", "b", "a\0", "\0", "%a", "é", "節", "\ud800", "abcdefgh",
+                     "abcdefgh\0", "abcdefghi", "abcdefghijklmnopqrst", "abcdefghijklmnopqrsu"]),
+    st.text(alphabet=["a", "b", "\0", "é", "節"], min_size=1, max_size=6),
+)
+_TAIL = st.sampled_from(["", "", "#", "# w=2.5", "#w=0.5", " # w= 3", " # w=1_0", " # w=abc",
+                         " # x=1", " #w", " # w=0", " # w=-1", " # w=nan", " # w=inf",
+                         " # w=1e400", " # w=1 # 2", " # w=\u30002", " # w=", "# w=1.0"])
+_LINE = st.tuples(st.sampled_from(["", "", "%", " %", "\u3000"]),
+                  st.lists(st.tuples(_WORD, st.sampled_from(_SPACES)), max_size=5), _TAIL)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LINE, max_size=8), st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8, max_size=8),
+       st.booleans())
+@example([("", [("a", " "), ("b", " ")], ""), ("", [("a\0", " "), ("b", " ")], "")], ["\n"] * 8, False)
+@example([("", [("a", " ")], ""), ("", [("a", " "), ("b", " ")], ""), ("", [("c", " ")], " # x=1")],
+         ["\n"] * 8, True)
+def test_reader_matches_reference_loop(lines, ends, trailing):
+    text = "".join(lead + "".join(w + s for w, s in words) + tail + end
+                   for (lead, words, tail), end in zip(lines, ends))
+    if not trailing:
+        text = text.rstrip("\n")
+    assert (_read_or_error(read_edge_list, io.StringIO(text))
+            == _read_or_error(reference_read_edge_list, io.StringIO(text)))
+
+
+@pytest.mark.parametrize("name", ["h.txt", "h.txt.gz"])
+def test_paths_translate_newlines_like_the_reference(tmp_path, name):
+    text = "a b\rb c # w=2\r\n% c\rd\u3000a\n\n c  d \r"
+    path = tmp_path / name
+    with (gzip.open if name.endswith(".gz") else open)(path, "wt", encoding="utf-8", newline="") as f:
+        f.write(text)
+    h = read_edge_list(path)
+    assert h.labels == ["a", "b", "c", "d"] and h.m == 4
+    assert _read_or_error(read_edge_list, path) == _read_or_error(reference_read_edge_list, path)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first bad line in file order wins, whatever the kind of error
+    ("a b\na\nc d\n# x=1\n", "line 2: a hyperedge needs at least 2 distinct labels"),
+    ("a b\nc d # x=1\ne\n", "line 2: expected '# w=<float>', got 'x=1'"),
+    ("a b # w=-1\nc d # w=x\n", "line 1: weight must be positive and finite, got -1.0"),
+    ("a b\nc d # w=x\ne\nf g # y\n", "line 2: bad weight 'x'"),
+    ("% a\n\n  b b # w=0\nc # w=x\n", "line 3: a hyperedge needs at least 2 distinct labels"),
+    ("a b # w=inf\nc # x\n", "line 1: weight must be positive and finite, got inf"),
+    # within a line: syntax, then the float, then the labels, then the value
+    ("a # w=abc\n", "line 1: bad weight 'abc'"),
+    ("a # x=0\n", "line 1: expected '# w=<float>', got 'x=0'"),
+    ("a a # w=0\n", "line 1: a hyperedge needs at least 2 distinct labels"),
+    ("# w=nan\n", "line 1: a hyperedge needs at least 2 distinct labels"),
+    ("a b # w=nan\n", "line 1: weight must be positive and finite, got nan"),
+    ("a b # w=\u3000x\n", "line 1: bad weight '\\u3000x'"),
+])
+def test_first_bad_line_wins(text, message):
+    for read in (read_edge_list, reference_read_edge_list):
+        with pytest.raises(ValueError) as err:
+            read(io.StringIO(text))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["h.txt", "h.txt.gz"])
+def test_text_files_are_utf8(tmp_path, name):
+    h = Hypergraph(3, [[0, 1], [1, 2]], weights=[1.5, 2.0], labels=["é", "節", "x"])
+    path = tmp_path / name
+    write_edge_list(h, path)
+    data = path.read_bytes()
+    if name.endswith(".gz"):
+        data = gzip.decompress(data)
+    assert data.decode("utf-8") == "é 節 # w=1.5\n節 x # w=2.0\n"
+    h2 = read_edge_list(path)
+    assert h2.labels == ["é", "節", "x"] and h2 == h
