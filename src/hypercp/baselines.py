@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, int_setting, row_indices
+from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, spans
 from .solver import SolverConfig, SolverResult, hypernsm
 
 if TYPE_CHECKING:
@@ -150,38 +150,104 @@ class UmhsResult:
         return s
 
 
-def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator) -> list[int]:
-    """One restart: random edge order, max-coverage picks, reverse pruning."""
-    order = rng.permutation(h.m)
-    uncovered_count = h.degrees
-    covered = np.zeros(h.m, dtype=bool)
+def _rows(ptr: np.ndarray, data: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The CSR rows `ids` of (`ptr`, `data`), concatenated; a single row is a view."""
+    if ids.size == 1:
+        return data[ptr[ids[0]] : ptr[ids[0] + 1]]
+    return data[row_indices(ptr, ids)]
+
+
+def _node_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's edge ids, ascending, as CSR (ptr, ids): the rows of the
+    grouped Bt with their edges renumbered back to canonical ids."""
+    g = h.grouped_incidence
+    return g.bt.indptr.astype(np.int64), g.order[g.bt.indices]
+
+
+def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator,
+                                node_ptr: np.ndarray, node_edges: np.ndarray) -> list[int]:
+    """One restart: random edge order, max-coverage picks, reverse pruning.
+
+    `node_ptr`, `node_edges` list each node's edges, ascending, as CSR.
+    The order is scanned for uncovered edges in blocks, and the next k of
+    them pick at once from the current counts.  The batch stands up to
+    its first pick that shares an uncovered edge with an earlier pick of
+    the batch.  Every pick before that is the one the greedy makes one
+    edge at a time: its own count is unchanged while the other counts of
+    its edge can only have fallen, its edge is still uncovered, and the
+    edges it covers are its own.  k doubles after a whole batch stands and
+    becomes the length that stood when one does not.  When only the first
+    pick stands, as on dense inputs where every pick touches every node,
+    single picks run four times as long as the last time before k grows.
+    """
+    n, m, offsets, members = h.n, h.m, h.offsets, h.members
+    edge_sizes = h.sizes
+    order = rng.permutation(m)
+    # uncovered-edge count * (n+1) + (n - node): the maximum over an edge is
+    # its member with the most uncovered edges, ties to the lowest index
+    score = np.diff(node_ptr) * (n + 1) + (n - np.arange(n))
+    covered = np.zeros(m, dtype=bool)
+    claim = np.full(m, m)  # scratch: the first pick of a batch holding each edge
+    queue = order[:0]  # uncovered edges the scan has passed, in order
+    scanned, window = 0, 64
+    k, single, patience = 1, 0, 1
     selected: list[int] = []
-
-    for e in order.tolist():
-        if covered[e]:
-            continue
-        edge = h.members[h.offsets[e] : h.offsets[e + 1]]
-        # members ascend, so argmax's first maximum is the lowest index
-        best = int(edge[np.argmax(uncovered_count[edge])])
-        selected.append(best)
-        incident = h.incident_edges(best)
-        newly = incident[~covered[incident]]
+    while True:
+        queue = queue[~covered[queue]]
+        while queue.size < k and scanned < m:
+            found = order[scanned : scanned + window]
+            found = found[~covered[found]]
+            scanned += window
+            queue = np.concatenate([queue, found])
+            window = 2 * window if found.size < k else max(64, window // 2)
+        if queue.size == 0:
+            break
+        batch = queue[:k]
+        sizes = edge_sizes[batch]
+        picks = n - np.maximum.reduceat(
+            score[_rows(offsets, members, batch)], np.cumsum(sizes) - sizes) % (n + 1)
+        newly = _rows(node_ptr, node_edges, picks)
+        live = ~covered[newly]
+        newly = newly[live]
+        stood = batch.size
+        if stood > 1:
+            owner = np.repeat(np.arange(stood), node_ptr[picks + 1] - node_ptr[picks])[live]
+            np.minimum.at(claim, newly, owner)
+            shared = np.flatnonzero(claim[newly] < owner)
+            claim[newly] = m
+            if shared.size:
+                stood = int(owner[shared[0]])
+                newly = newly[owner < stood]
         covered[newly] = True
-        np.subtract.at(uncovered_count, h.members[row_indices(h.offsets, newly)], 1)
-
-    # prune in reverse insertion order; keep the set hitting
-    hit_count = np.zeros(h.m, dtype=np.int64)
-    for node in selected:
-        hit_count[h.incident_edges(node)] += 1
-    kept = []
-    for node in reversed(selected):
-        incident = h.incident_edges(node)
-        if np.all(hit_count[incident] >= 2):
-            hit_count[incident] -= 1
+        np.subtract.at(score, members[spans(offsets[newly], edge_sizes[newly])], n + 1)
+        selected.extend(picks[:stood].tolist())
+        queue = queue[stood:]
+        if stood < batch.size:
+            k = stood
+            if stood == 1:
+                patience *= 4
+                single = patience
+        elif batch.size > 1:
+            k = 2 * batch.size
         else:
-            kept.append(node)
-    kept.reverse()
-    return kept
+            single -= 1
+            k = 2 if single <= 0 else 1
+
+    # prune in reverse insertion order; keep the set hitting.  A pick with
+    # an edge it alone hits stays, as hit counts only fall, so only the
+    # others are tried one by one (on grouped edge ids: Bt's rows)
+    g = h.grouped_incidence
+    x = np.zeros(n)
+    x[selected] = 1.0
+    hit = g.b @ x
+    spare = (g.bt @ (hit == 1.0).astype(np.float64))[selected] == 0.0
+    keep = np.ones(len(selected), dtype=bool)
+    for i in np.flatnonzero(spare)[::-1].tolist():
+        incident = g.bt.indices[node_ptr[selected[i]] : node_ptr[selected[i] + 1]]
+        if hit[incident].min() >= 2.0:
+            hit[incident] -= 1.0
+            keep[i] = False
+    return np.array(selected, dtype=np.int64)[keep].tolist()
 
 
 def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
@@ -191,7 +257,11 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     uncovered edge with its member hitting the most still-uncovered
     edges (ties to the lowest index), then prunes redundant picks in
     reverse insertion order.  The smallest set across restarts wins
-    (ties to the earliest restart).  The ranking lists set members by
+    (ties to the earliest restart).  A restart's Python work grows with
+    its number of picks, not with the number of edges: it scans the
+    order in blocks and picks in batches that give the one-edge-at-a-time
+    result (see `_greedy_minimal_hitting_set`), on node -> edge lists
+    built once per call.  The ranking lists set members by
     number of edges they hit, descending, then the remaining nodes by
     degree, descending; all ties break by ascending node index.
     """
@@ -200,10 +270,11 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     if h.m == 0:
         raise ValueError("cannot rank a hypergraph with no edges")
 
+    node_lists = _node_edges(h)
     best: list[int] | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        candidate = _greedy_minimal_hitting_set(h, rng)
+        candidate = _greedy_minimal_hitting_set(h, rng, *node_lists)
         if best is None or len(candidate) < len(best):
             best = candidate
 

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import os
-import secrets
 import sys
 import time
 from pathlib import Path
@@ -43,7 +42,7 @@ def _atomic_write(path: Path, text: str) -> None:
     over the target: readers never see a partial file, writers never
     share a temp file, and a failed write leaves none behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # O_EXCL never opens an existing file; 0o666 lets the umask apply as open() does
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

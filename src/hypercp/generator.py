@@ -16,12 +16,11 @@ deterministic "hypercycle" fixture used by the evaluation tests.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi, int_setting, node_ids
+from .hypergraph import Hypergraph, XiRule, edge_xi, int_setting, node_ids, spans
 from .solver import objective
 
 __all__ = [
@@ -126,13 +125,13 @@ def sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
     node_of_rank[ranks - 1] = np.arange(cfg.n)
 
     kept = []
+    combos = np.arange(cfg.n)[:, None]
     for r in range(2, cfg.max_size + 1):
-        # every candidate of size r in lexicographic order, as rank-1 offsets 0..n-1
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(cfg.n), r)),
-            dtype=np.int64,
-            count=comb(cfg.n, r) * r,
-        ).reshape(-1, r)
+        # every candidate of size r in lexicographic order, as rank-1 offsets
+        # 0..n-1: each (r-1)-subset, in order, followed by each larger offset
+        last = combos[:, -1]
+        more = cfg.n - 1 - last
+        combos = np.column_stack([np.repeat(combos, more, axis=0), spans(last + 1, more)])
         kept.append(node_of_rank[combos[rng.random(len(combos)) < edge_probability(combos + 1, cfg)]])
     sizes = np.concatenate([np.full(len(edges), edges.shape[1]) for edges in kept])
     h = Hypergraph.from_flat(cfg.n, sizes, np.concatenate([edges.ravel() for edges in kept]))

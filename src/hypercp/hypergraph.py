@@ -51,11 +51,15 @@ class XiRule(enum.Enum):
     UNIT = "unit"
 
 
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[k] .. starts[k] + lengths[k] - 1 for every k, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
 def row_indices(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions in a flat CSR array of the given rows, concatenated."""
     starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return spans(starts, offsets[rows + 1] - starts)
 
 
 def node_ids(ids: Iterable, n: int) -> np.ndarray:

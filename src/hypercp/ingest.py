@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, spans
 
 __all__ = [
     "read_edge_list",
@@ -228,15 +228,26 @@ def _parse(text: str):
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:
-    """Canonical text serialization; weights always printed."""
-    names = h.labels if h.labels is not None else list(map(str, range(h.n)))
-    tokens = [names[i] for i in h.members.tolist()]
-    bounds = h.offsets.tolist()
-    lines = [
-        f"{' '.join(tokens[a:b])} # w={w!r}"
-        for a, b, w in zip(bounds, bounds[1:], h.weights.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Canonical text serialization; weights always printed.
+
+    Built as UTF-8 bytes with numpy: each label is encoded once and each
+    distinct weight's repr made once, and one gather lays every member's
+    label, then a space or its line's ``# w=<repr>`` tail, end to end.
+    """
+    names = h.labels if h.labels is not None else map(str, range(h.n))
+    labels = [name.encode("utf-8", "surrogatepass") for name in names]
+    distinct, which = np.unique(h.weights, return_inverse=True)
+    tails = [f" # w={w!r}\n".encode() for w in distinct.tolist()]
+    # the pieces, end to end: every label, a space, then every tail
+    pieces = labels + [b" "] + tails
+    lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    starts = np.cumsum(lengths) - lengths
+    # each member's label, then a space, or its edge's tail after the last member
+    after = np.full(h.members.size, h.n)
+    after[h.offsets[1:] - 1] = h.n + 1 + which
+    piece = np.column_stack([h.members, after]).ravel()
+    buf = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+    return buf[spans(starts[piece], lengths[piece])].tobytes().decode("utf-8", "surrogatepass")
 
 
 def write_edge_list(h: Hypergraph, dest) -> None:

@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from hypercp import Hypergraph, SolverConfig, XiRule, iteration_map
+from hypercp import GeneratorConfig, Hypergraph, SolverConfig, XiRule, iteration_map
+from hypercp.generator import edge_probability
+from hypercp.hypergraph import row_indices
 from hypercp.ingest import _open_text
 
 
@@ -119,6 +121,83 @@ def reference_read_edge_list(source) -> Hypergraph:
             members.extend([index.setdefault(lab, len(index)) for lab in labels])
             weights.append(weight)
     return Hypergraph.from_flat(len(index), sizes, members, weights=weights, labels=list(index))
+
+
+def reference_hypergraph_to_text(h: Hypergraph) -> str:
+    """The edge-list writer as a comprehension over edges: labels joined
+    by spaces, then ``# w=`` and the weight's repr.
+    `hypercp.ingest.hypergraph_to_text` must give the same text."""
+    names = h.labels if h.labels is not None else list(map(str, range(h.n)))
+    tokens = [names[i] for i in h.members.tolist()]
+    bounds = h.offsets.tolist()
+    lines = [
+        f"{' '.join(tokens[a:b])} # w={w!r}"
+        for a, b, w in zip(bounds, bounds[1:], h.weights.tolist())
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
+    """The planted-model sampler with its candidates from
+    `itertools.combinations`: every size's subsets in lexicographic order,
+    one `rng.random` draw per size.  `hypercp.generator.sample` must draw
+    the same hypergraph and ranks for every config."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.planted_perm is not None:
+        ranks = np.asarray(cfg.planted_perm, dtype=np.int64)
+    else:
+        ranks = rng.permutation(cfg.n).astype(np.int64) + 1
+    node_of_rank = np.empty(cfg.n, dtype=np.int64)
+    node_of_rank[ranks - 1] = np.arange(cfg.n)
+    kept = []
+    for r in range(2, cfg.max_size + 1):
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(cfg.n), r)),
+            dtype=np.int64,
+            count=math.comb(cfg.n, r) * r,
+        ).reshape(-1, r)
+        kept.append(node_of_rank[combos[rng.random(len(combos)) < edge_probability(combos + 1, cfg)]])
+    sizes = np.concatenate([np.full(len(edges), edges.shape[1]) for edges in kept])
+    h = Hypergraph.from_flat(cfg.n, sizes, np.concatenate([edges.ravel() for edges in kept]))
+    return h, ranks
+
+
+def reference_greedy_hitting_set(h: Hypergraph, rng: np.random.Generator) -> list[int]:
+    """One UMHS restart as a loop over the edges in a random order: cover
+    each uncovered edge with its member hitting the most uncovered edges
+    (ties to the lowest index), then prune in reverse insertion order.
+    `hypercp.baselines._greedy_minimal_hitting_set` must return the same
+    list for the same generator state."""
+    order = rng.permutation(h.m)
+    uncovered_count = h.degrees
+    covered = np.zeros(h.m, dtype=bool)
+    selected: list[int] = []
+
+    for e in order.tolist():
+        if covered[e]:
+            continue
+        edge = h.members[h.offsets[e] : h.offsets[e + 1]]
+        # members ascend, so argmax's first maximum is the lowest index
+        best = int(edge[np.argmax(uncovered_count[edge])])
+        selected.append(best)
+        incident = h.incident_edges(best)
+        newly = incident[~covered[incident]]
+        covered[newly] = True
+        np.subtract.at(uncovered_count, h.members[row_indices(h.offsets, newly)], 1)
+
+    # prune in reverse insertion order; keep the set hitting
+    hit_count = np.zeros(h.m, dtype=np.int64)
+    for node in selected:
+        hit_count[h.incident_edges(node)] += 1
+    kept = []
+    for node in reversed(selected):
+        incident = h.incident_edges(node)
+        if np.all(hit_count[incident] >= 2):
+            hit_count[incident] -= 1
+        else:
+            kept.append(node)
+    kept.reverse()
+    return kept
 
 
 def dense_incidence(h: Hypergraph) -> np.ndarray:

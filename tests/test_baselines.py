@@ -29,6 +29,7 @@ from helpers import (
     is_hitting_set,
     is_minimal_hitting_set,
     random_hypergraph,
+    reference_greedy_hitting_set,
 )
 
 
@@ -263,6 +264,23 @@ class TestBorgattiEverett:
                 expand(h)
 
 
+@st.composite
+def hitting_set_cases(draw):
+    """A hypergraph for UMHS, with a restart count and a seed: dense (at
+    most 12 nodes, up to 150 edges) or sparse (up to 300 nodes and 300
+    edges), edges of 2 to 12 nodes, some drawn twice so they merge, and
+    nodes that no edge holds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = draw(st.booleans())
+    n = draw(st.integers(2, 12) if dense else st.integers(13, 300))
+    m = draw(st.integers(1, 150) if dense else st.integers(1, 300))
+    largest = draw(st.integers(2, min(n, 12)))
+    edges = [rng.choice(n, size=int(rng.integers(2, largest + 1)), replace=False) for _ in range(m)]
+    edges += [edges[i] for i in rng.integers(0, m, size=draw(st.integers(0, m)))]
+    isolated = draw(st.integers(0, 3))
+    return Hypergraph(n + isolated, edges), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestUmhs:
     def test_single_edge_needs_one_node(self):
         h = Hypergraph(3, [[0, 1, 2]])
@@ -323,6 +341,21 @@ class TestUmhs:
         a = umhs(h, restarts=5, seed=11)
         b = umhs(h, restarts=5, seed=11)
         assert a.ranking == b.ranking and a.hitting_set == b.hitting_set
+
+    @settings(max_examples=150, deadline=None)
+    @given(hitting_set_cases())
+    def test_matches_reference_greedy(self, case):
+        h, restarts, seed = case
+        node_lists = baselines._node_edges(h)
+        for r in range(restarts):
+            want = reference_greedy_hitting_set(h, np.random.default_rng([seed, r]))
+            got = baselines._greedy_minimal_hitting_set(h, np.random.default_rng([seed, r]), *node_lists)
+            assert got == want
+        res = umhs(h, restarts=restarts, seed=seed)
+        with mock.patch.object(baselines, "_greedy_minimal_hitting_set",
+                               lambda h, rng, *_: reference_greedy_hitting_set(h, rng)):
+            ref = umhs(h, restarts=restarts, seed=seed)
+        assert (res.ranking, res.hitting_set) == (ref.ranking, ref.hitting_set)
 
     def test_restart_validation(self):
         h = Hypergraph(2, [[0, 1]])

@@ -14,7 +14,7 @@ from hypercp import (
 )
 from hypercp.generator import candidate_count
 
-from helpers import edge_tuples, model_log_likelihood
+from helpers import edge_tuples, model_log_likelihood, reference_sample
 
 
 class TestEdgeCoreness:
@@ -184,3 +184,19 @@ class TestMleObjective:
             top_obj = {p for p, v in obj.items() if v >= max(obj.values()) - 1e-9}
             top_lik = {p for p, v in lik.items() if v >= max(lik.values()) - 1e-9}
             assert top_obj == top_lik
+
+
+@pytest.mark.parametrize("n, max_size, seed, perm", [
+    (2, 2, 0, None),
+    (5, 5, 1, None),
+    (6, 3, 2, (6, 5, 4, 3, 2, 1)),
+    (9, 4, 3, None),
+    (12, 12, 4, None),
+    (40, 4, 7, None),
+])
+def test_sample_matches_itertools_enumeration(n, max_size, seed, perm):
+    cfg = GeneratorConfig(n=n, max_size=max_size, seed=seed, planted_perm=perm)
+    h, ranks = sample(cfg)
+    want_h, want_ranks = reference_sample(cfg)
+    assert h == want_h
+    assert ranks.tolist() == want_ranks.tolist()

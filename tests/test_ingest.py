@@ -14,6 +14,7 @@ from helpers import (
     edge_tuples,
     edges_by_label,
     random_hypergraph,
+    reference_hypergraph_to_text,
     reference_read_edge_list,
 )
 
@@ -150,6 +151,34 @@ def test_write_read_write_keeps_bytes_and_structure(case, scale):
                       for line in t.splitlines())
     text2 = hypergraph_to_text(h2)
     assert lines(text2) == lines(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=6)
+                     .filter(lambda e: len(set(e)) >= 2), max_size=20),
+        )
+    ),
+    st.data(),
+)
+@example((3, []), None)
+def test_writer_matches_reference_comprehension(case, data):
+    n, edges = case
+    if data is None:
+        weights, labels = None, None
+    else:
+        weights = data.draw(st.lists(
+            st.sampled_from([1.0, 5e-324, 1 / 3, 1e308, 2.5e-7, 123456789.0]) | st.floats(1e-300, 1e300),
+            min_size=len(edges), max_size=len(edges)))
+        # 1- to 4-byte UTF-8, a lone surrogate as the reader can yield it, or plain indices
+        labels = data.draw(st.none() | st.lists(
+            st.text(alphabet="aé節𝄞\udc80%,", min_size=1, max_size=4).filter(lambda lab: lab[0] != "%"),
+            min_size=n, max_size=n, unique=True))
+    h = Hypergraph(n, edges, weights=weights, labels=labels)
+    assert hypergraph_to_text(h) == reference_hypergraph_to_text(h)
 
 
 # labels the text format can hold: no whitespace or '#', no leading '%'
