@@ -3,7 +3,8 @@
 Scores every node of a hypergraph by how "core" it is, by globally
 solving a norm-constrained nonconvex objective with a linearly
 convergent fixed-point iteration, plus a planted-structure random
-generator, three baseline detectors, and profile-based evaluation.
+generator, three baseline detectors, and evaluation by profile and
+intersection curves.
 """
 
 from .hypergraph import Hypergraph, XiRule, xi_vector
@@ -29,7 +30,6 @@ from .baselines import UmhsResult, borgatti_everett, clique_expansion, graph_nsm
 from .profiles import (
     ProfileCurve,
     intersection_curve,
-    permuted_coordinates,
     profile_curve,
     profile_value,
     rank_by_score,
@@ -69,7 +69,6 @@ __all__ = [
     "profile_value",
     "profile_curve",
     "intersection_curve",
-    "permuted_coordinates",
     "rank_by_score",
     "read_edge_list",
     "write_edge_list",

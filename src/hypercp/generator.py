@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi, int_setting, node_ids, spans
+from .hypergraph import Hypergraph, XiRule, edge_xi, exponent, int_setting, node_ids, spans
 from .solver import objective
 
 __all__ = [
@@ -58,8 +58,7 @@ class GeneratorConfig:
             int_setting(name, getattr(self, name), 0)
         if not (2 <= self.max_size <= self.n):
             raise ValueError(f"need 2 <= max_size <= n, got max_size={self.max_size}, n={self.n}")
-        if self.q_mu < 1.0:
-            raise ValueError(f"q_mu must be >= 1, got {self.q_mu}")
+        exponent("q_mu", self.q_mu)
         if self.planted_perm is not None:
             _ranks(self.planted_perm, self.n)
 
@@ -77,8 +76,10 @@ def edge_coreness(ranks, n: int, q: float):
     along the last axis (one value per row of a 2-D array of edges).
 
     Large when the edge contains at least one low rank (core node);
-    approaches max over the edge of (n - rank)/n as q grows.
+    approaches max over the edge of (n - rank)/n as q grows.  Needs a
+    finite q >= 1.
     """
+    exponent("q", q)
     r = np.asarray(ranks, dtype=np.float64)
     if np.any(r < 1) or np.any(r > n):
         raise ValueError(f"ranks must lie in 1..{n}")
@@ -145,6 +146,7 @@ def mle_objective(h: Hypergraph, perm, xi: XiRule, q_mu: float) -> float:
     over present edges of xi(e) times the edge's coreness under the
     candidate ranks (perm[i] = rank of node i, 1-based bijection).
     """
+    exponent("q_mu", q_mu)
     ranks = _ranks(perm, h.n)
     return objective(h, xi, (h.n - ranks) / h.n, q_mu)
 

@@ -12,13 +12,14 @@ The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`), and every caller reads it directly.  Its one
 sparse form, built on first use and cached, is a pair of `scipy.sparse`
 CSR matrices (`GroupedIncidence`): the 0/1 incidence matrix B with its
-edges grouped by size, and its transpose, which also gives the node ->
-edge lists.  The solver's kernel and the clique expansion both multiply
-by it.  scipy itself is imported only then, so code that never needs B
-never loads it.
+edges grouped by size, and its transpose.  The solver's kernel, the
+clique expansion and UMHS multiply by it, and `degrees` counts its rows.
+scipy itself is imported only then, so code that never needs B never
+loads it.
 
-Outside node ids, score vectors and integer settings (counts and seeds)
-have one check each: `node_ids`, `score_vector` and `int_setting`.  Edge
+Outside node ids, score vectors, integer settings (counts and seeds) and
+exponents have one check each: `node_ids`, `score_vector`, `int_setting`,
+and `exponents` (p and q together) or `exponent` (a lone q).  Edge
 members get the integer rule of `node_ids` and a vectorised range check
 that names the offending edge.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
@@ -83,6 +85,18 @@ def int_setting(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def exponents(p, q) -> None:
+    """Check the solver's exponents: finite p > q > 1, else ValueError naming both."""
+    if not (math.isfinite(p) and p > q > 1.0):
+        raise ValueError(f"need finite p > q > 1, got p={p}, q={q}")
+
+
+def exponent(name: str, value) -> None:
+    """Check an exponent used without p: finite and >= 1, else ValueError naming it."""
+    if not (math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
 def score_vector(x, n: int | None = None) -> np.ndarray:
@@ -305,11 +319,6 @@ class Hypergraph:
         bt = sp.csr_matrix((ones, rank[t.indices], t.indptr), shape=(n, m))
         order.flags.writeable = False
         return GroupedIncidence(order, _read_only(b), _read_only(bt))
-
-    def incident_edges(self, node: int) -> np.ndarray:
-        """Edge ids containing `node`, in ascending order."""
-        g = self.grouped_incidence
-        return g.order[g.bt.indices[g.bt.indptr[node] : g.bt.indptr[node + 1]]]
 
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""

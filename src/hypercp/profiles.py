@@ -10,6 +10,8 @@ of the top-k nodes that belong to the core.
 
 Both curves depend only on the ranking the scores induce; score ties
 break by ascending node index so every curve is total and reproducible.
+The module reads only the hypergraph's CSR arrays: evaluation imports
+neither the solver nor the baselines.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .baselines import clique_expansion
 from .hypergraph import Hypergraph, XiRule, node_ids, score_vector, xi_vector
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "profile_value",
     "profile_curve",
     "intersection_curve",
-    "permuted_coordinates",
     "write_curves_csv",
 ]
 
@@ -45,7 +45,7 @@ class ProfileCurve:
     def __post_init__(self) -> None:
         if self.kind not in ("profile", "intersection"):
             raise ValueError(f"kind must be 'profile' or 'intersection', got {self.kind!r}")
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = score_vector(self.values)
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise ValueError("curve values must lie in [0, 1]")
 
@@ -109,27 +109,6 @@ def intersection_curve(
     hits = np.cumsum(np.isin(order, core))
     values = hits / np.arange(1, order.size + 1)
     return ProfileCurve(values=values, kind="intersection", method_label=method_label)
-
-
-def permuted_coordinates(
-    h: Hypergraph, scores: np.ndarray
-) -> list[tuple[int, int, float]]:
-    """Clique-expansion adjacency nonzeros reindexed by descending-score rank.
-
-    Row/column r is the node with the (r+1)-th largest score, so a good
-    core ordering concentrates weight in the low-index corner.  Both
-    orientations of each pair are listed, sorted by (row, col);
-    rendering is up to the consumer.
-    """
-    scores = score_vector(scores, h.n)
-    position = np.empty(h.n, dtype=np.int64)
-    position[rank_by_score(scores)] = np.arange(h.n)
-    g = clique_expansion(h)
-    pairs = position[g.members].reshape(-1, 2)
-    rows, cols = np.r_[pairs[:, 0], pairs[:, 1]], np.r_[pairs[:, 1], pairs[:, 0]]
-    order = np.lexsort((cols, rows))
-    weights = np.tile(g.weights, 2)[order]
-    return list(zip(rows[order].tolist(), cols[order].tolist(), weights.tolist()))
 
 
 def write_curves_csv(curves: list[ProfileCurve], dest) -> None:

@@ -64,7 +64,9 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, score_vector, xi_vector
+from .hypergraph import (
+    Hypergraph, XiRule, exponent, exponents, int_setting, row_indices, score_vector, xi_vector,
+)
 
 __all__ = [
     "SolverConfig",
@@ -98,8 +100,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > self.q > 1.0):
-            raise ValueError(f"need finite p > q > 1, got p={self.p}, q={self.q}")
+        exponents(self.p, self.q)
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         int_setting("max_iter", self.max_iter, 1)
@@ -192,7 +193,8 @@ def _grouped_xi(h: Hypergraph, rule: XiRule) -> np.ndarray:
 
 
 def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
-    """Core-score objective f(x): xi-weighted sum of per-edge q-norms."""
+    """Core-score objective f(x): xi-weighted sum of per-edge q-norms, q >= 1."""
+    exponent("q", q)
     x = score_vector(x, h.n)
     if np.any(x < 0.0):
         raise ValueError("objective requires a nonnegative vector")
@@ -238,6 +240,7 @@ def _log_step(log_y: np.ndarray, p: float) -> np.ndarray:
 
 def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
     """`_log_gradient` at x >= 0, which must be positive on non-isolated nodes."""
+    exponent("q", q)
     x = score_vector(x, h.n)
     if np.any(x < 0.0) or np.any(x[h.degrees > 0] == 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
@@ -254,7 +257,9 @@ def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) 
     """One step T x: gradient, p*-normalization, 1/(p-1) power, as exp of
     the map in logs that `hypernsm` iterates.  Scale-invariant, with unit
     p-norm; iterated, it converges at the linear rate (q-1)/(p-1).
+    Requires finite p > q > 1, as `SolverConfig` does.
     """
+    exponents(p, q)
     return np.exp(_log_step(_map_log_gradient(h, xi, x, q), p))
 
 

@@ -49,6 +49,15 @@ def edge_tuples(h: Hypergraph) -> list[tuple[int, ...]]:
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def node_edges(h: Hypergraph) -> list[list[int]]:
+    """Each node's edge ids in ascending order, from `edge_tuples`."""
+    lists: list[list[int]] = [[] for _ in range(h.n)]
+    for j, e in enumerate(edge_tuples(h)):
+        for i in e:
+            lists[i].append(j)
+    return lists
+
+
 def edges_by_label(h: Hypergraph) -> list[tuple[tuple[str, ...], float]]:
     """Edges as sorted label tuples with their weights, sorted: a view
     free of dense indices, so graphs read in different orders compare."""
@@ -169,7 +178,8 @@ def reference_greedy_hitting_set(h: Hypergraph, rng: np.random.Generator) -> lis
     `hypercp.baselines._greedy_minimal_hitting_set` must return the same
     list for the same generator state."""
     order = rng.permutation(h.m)
-    uncovered_count = h.degrees
+    incident_edges = [np.array(edges, dtype=np.int64) for edges in node_edges(h)]
+    uncovered_count = np.array([len(edges) for edges in incident_edges], dtype=np.int64)
     covered = np.zeros(h.m, dtype=bool)
     selected: list[int] = []
 
@@ -180,7 +190,7 @@ def reference_greedy_hitting_set(h: Hypergraph, rng: np.random.Generator) -> lis
         # members ascend, so argmax's first maximum is the lowest index
         best = int(edge[np.argmax(uncovered_count[edge])])
         selected.append(best)
-        incident = h.incident_edges(best)
+        incident = incident_edges[best]
         newly = incident[~covered[incident]]
         covered[newly] = True
         np.subtract.at(uncovered_count, h.members[row_indices(h.offsets, newly)], 1)
@@ -188,10 +198,10 @@ def reference_greedy_hitting_set(h: Hypergraph, rng: np.random.Generator) -> lis
     # prune in reverse insertion order; keep the set hitting
     hit_count = np.zeros(h.m, dtype=np.int64)
     for node in selected:
-        hit_count[h.incident_edges(node)] += 1
+        hit_count[incident_edges[node]] += 1
     kept = []
     for node in reversed(selected):
-        incident = h.incident_edges(node)
+        incident = incident_edges[node]
         if np.all(hit_count[incident] >= 2):
             hit_count[incident] -= 1
         else:

@@ -8,12 +8,13 @@ from hypercp import (
     Hypergraph,
     SolverConfig,
     XiRule,
+    edge_coreness,
     hypercycle,
     intersection_curve,
+    iteration_map,
     mle_objective,
     objective,
     objective_gradient,
-    permuted_coordinates,
     profile_curve,
     profile_value,
     rank_by_score,
@@ -24,7 +25,7 @@ from hypercp import (
 
 from hypercp.solver import _edge_kernel
 
-from helpers import canonical_b, canonical_incidence, edge_tuples, random_hypergraph
+from helpers import canonical_b, canonical_incidence, edge_tuples, node_edges, random_hypergraph
 
 
 @st.composite
@@ -46,7 +47,6 @@ def test_basic_construction():
     h = Hypergraph(3, [[0, 1], [1, 2]])
     assert h.m == 2
     assert edge_tuples(h) == [(0, 1), (1, 2)]
-    assert list(h.incident_edges(1)) == [0, 1]
     assert h.degrees.tolist() == [1, 2, 1]
 
 
@@ -167,22 +167,19 @@ def test_incidence_transpose_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         h = random_hypergraph(rng, 20, 30, cover_all=False)
-        # node -> edge index must be exactly the transpose of edge -> node
-        from_edges = {(i, j) for j, e in enumerate(edge_tuples(h)) for i in e}
-        from_nodes = {
-            (i, int(j)) for i in range(h.n) for j in h.incident_edges(i)
-        }
-        assert from_edges == from_nodes
+        # the stored node -> edge rows must be exactly the transpose of edge -> node
+        order, _, bt = h.grouped_incidence
+        from_bt = [order[bt.indices[bt.indptr[i] : bt.indptr[i + 1]]].tolist() for i in range(h.n)]
+        assert from_bt == node_edges(h)
 
 
 def test_degree_identities():
     rng = np.random.default_rng(5)
     for _ in range(10):
         h = random_hypergraph(rng, 15, 25, cover_all=False)
-        deg = h.degrees
-        for i in range(h.n):
-            assert deg[i] == sum(1 for e in edge_tuples(h) if i in e)
-        assert int(deg.sum()) == h.degree_sum() == sum(len(e) for e in edge_tuples(h))
+        want = [len(edges) for edges in node_edges(h)]
+        assert h.degrees.tolist() == want
+        assert sum(want) == h.degree_sum() == sum(len(e) for e in edge_tuples(h))
 
 
 def test_labels_validated():
@@ -251,7 +248,6 @@ def test_incidence_matrices_match_members(case):
         want = [e for e, members in enumerate(tuples) if i in members]
         row = bt.indices[bt.indptr[i] : bt.indptr[i + 1]]
         assert order[row].tolist() == want  # canonical ids, ascending
-        assert h.incident_edges(i).tolist() == want
     assert h.degrees.tolist() == dense.sum(axis=0).astype(int).tolist()
     for a in (order, *(x for mat in (b, bt) for x in (mat.data, mat.indices, mat.indptr))):
         assert not a.flags.writeable
@@ -308,7 +304,6 @@ SCORE_TAKERS = {
     "objective_gradient": lambda x: objective_gradient(H5, XiRule.RECIPROCAL, x, 10.0),
     "thompson_distance": lambda x: thompson_distance(x, np.ones(5)),
     "profile_curve": lambda x: profile_curve(H5, x),
-    "permuted_coordinates": lambda x: permuted_coordinates(H5, x),
     "intersection_curve": lambda x: intersection_curve(x, [0]),
     "rank_by_score": rank_by_score,
 }
@@ -354,3 +349,39 @@ def test_bad_integer_settings_rejected(entry, value):
 @pytest.mark.parametrize("entry", SETTING_TAKERS)
 def test_numpy_integer_settings_accepted(entry):
     SETTING_TAKERS[entry](np.int64(3))
+
+
+X5 = np.ones(5)
+RECIP = XiRule.RECIPROCAL
+
+# Every entry point that takes an exponent, with a value it must reject
+# and the parameter its error names.  p and q together need SolverConfig's
+# finite p > q > 1; a q on its own needs to be finite and >= 1.
+BAD_EXPONENTS = {
+    "iteration_map-p=1": (lambda: iteration_map(H5, RECIP, X5, 10.0, 1.0), "p > q > 1"),
+    "iteration_map-p=inf": (lambda: iteration_map(H5, RECIP, X5, 10.0, np.inf), "p > q > 1"),
+    "objective-q=nan": (lambda: objective(H5, RECIP, X5, np.nan), "q must"),
+    "objective-q=0": (lambda: objective(H5, RECIP, X5, 0.0), "q must"),
+    "objective-q=-1": (lambda: objective(H5, RECIP, X5, -1.0), "q must"),
+    "objective_gradient-q=0": (lambda: objective_gradient(H5, RECIP, X5, 0.0), "q must"),
+    "mle_objective-q_mu=0": (lambda: mle_objective(H5, [1, 2, 3, 4, 5], RECIP, 0.0), "q_mu must"),
+    "edge_coreness-q=0": (lambda: edge_coreness([1, 2], 10, 0.0), "q must"),
+    "GeneratorConfig-q_mu=nan": (lambda: GeneratorConfig(n=5, max_size=3, q_mu=np.nan), "q_mu must"),
+    "GeneratorConfig-q_mu=inf": (lambda: GeneratorConfig(n=5, max_size=3, q_mu=np.inf), "q_mu must"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EXPONENTS)
+def test_bad_exponents_rejected(case):
+    # these returned NaN scores, nan, a number for q < 0, an empty or a
+    # wrong sample, or raised ZeroDivisionError
+    call, names = BAD_EXPONENTS[case]
+    with pytest.raises(ValueError, match=names):
+        call()
+
+
+def test_exponent_one_accepted_where_q_stands_alone():
+    # q = 1 is the plain xi-weighted 1-norm, and q_mu = 1 a valid model
+    x = np.arange(1.0, 6.0)
+    assert objective(H5, XiRule.UNIT, x, 1) == pytest.approx(sum(x[list(e)].sum() for e in edge_tuples(H5)))
+    assert mle_objective(H5, [1, 2, 3, 4, 5], RECIP, 1.0) == pytest.approx(objective(H5, RECIP, 1 - x / 5, 1))

@@ -12,7 +12,6 @@ from hypercp import (
     hypercycle,
     hypernsm,
     intersection_curve,
-    permuted_coordinates,
     profile_curve,
     profile_value,
     rank_by_score,
@@ -168,29 +167,20 @@ class TestRanking:
 
 
 class TestPermutedCoordinates:
-    def test_star_concentrates_on_first_row(self):
-        g = Hypergraph(5, [[0, i] for i in range(1, 5)])
-        scores = np.array([10.0, 1.0, 2.0, 3.0, 4.0])
-        triples = permuted_coordinates(g, scores)
-        assert all(r == 0 or c == 0 for r, c, _ in triples)
-
-    def test_identity_scores_keep_coordinates(self):
-        g = Hypergraph(4, [[0, 1], [2, 3]], weights=[2.0, 1.0])
-        scores = np.array([4.0, 3.0, 2.0, 1.0])
-        triples = permuted_coordinates(g, scores)
-        assert triples == [(0, 1, 2.0), (1, 0, 2.0), (2, 3, 1.0), (3, 2, 1.0)]
+    """The clique adjacency read in score-rank coordinates: row r is the
+    node with the (r+1)-th largest score."""
 
     def test_hypercycle_overlaps_occupy_leading_block(self):
         h, overlaps = hypercycle()
         res = hypernsm(h, SolverConfig())
-        g = clique_expansion(h)
-        triples = permuted_coordinates(g, res.scores)
         order = rank_by_score(res.scores)
         assert sorted(order[:5].tolist()) == overlaps
-        lead = {(r, c) for r, c, _ in triples if r < 5 and c < 5}
+        rank = np.empty(h.n, dtype=np.int64)
+        rank[order] = np.arange(h.n)
+        pairs = rank[clique_expansion(h).members].reshape(-1, 2)
         # overlap nodes of consecutive edges share an edge, so the
         # leading 5x5 block carries adjacency between them
-        assert lead
+        assert np.any((pairs < 5).all(axis=1))
 
 
 class TestCsvOutput:
@@ -217,3 +207,9 @@ class TestCsvOutput:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
             ProfileCurve(values=np.array([1.5]), kind="profile")
+
+    @pytest.mark.parametrize("values", [[np.nan, 0.5], [0.5, np.inf], [[0.5, 1.0]]], ids=str)
+    def test_non_finite_or_2d_values_rejected(self, values):
+        # NaN and 2-D values used to be accepted and written to CSV
+        with pytest.raises(ValueError, match="score vector"):
+            ProfileCurve(values=values, kind="profile")
