@@ -52,8 +52,18 @@ smallest normal float, and only those edges are recomputed with their
 own largest log score r_e as the shift; their kernel term carries
 exp((1-q) r_e).  That factor overflows, and the kernel fails, for an
 edge whose largest member is below about e^(-709/(q-1)) * max(x) (about
-5e-35 at q=10).  Scores leave the logs as exp(u) in floats, so only a
-score below the float range underflows to 0; `hypernsm` flags it.
+5e-35 at q=10): `objective_gradient`, `iteration_map` and
+`eigen_residual` raise ValueError there.  Scores leave the logs as exp(u)
+in floats, so only a score below the float range underflows to 0;
+`hypernsm` flags it.
+
+The map runs once per iteration, so it works in place where it can: a
+function writes only into arrays that it allocated itself (the product's
+output, the shifted log scores), never into a caller's array, B's
+read-only arrays, or the f and g that the Anderson memory keeps.  Every
+in-place form takes the same IEEE operations as the expression it
+replaces (+ and * commute), so the map's bits do not depend on it;
+`tests/helpers.reference_log_map` pins them.
 """
 
 from __future__ import annotations
@@ -141,7 +151,7 @@ class SolverResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "scores": [float(s) for s in self.scores],
+            "scores": self.scores.tolist(),
             "eigenvalue": float(self.eigenvalue),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
@@ -152,13 +162,14 @@ class SolverResult:
 def _log_pnorm(a: np.ndarray, p: float) -> float:
     """log ||exp(a)||_p, taken about max(a) so that no power overflows."""
     top = float(a.max())
-    return top + math.log(float(np.exp(p * (a - top)).sum())) / p
+    t = a - top
+    return top + math.log(float(np.exp(np.multiply(p, t, out=t), out=t).sum())) / p
 
 
-def _log(x: np.ndarray) -> np.ndarray:
+def _log(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise log of a nonnegative vector, -inf at 0 without a warning."""
     with np.errstate(divide="ignore"):
-        return np.log(x)
+        return np.log(x, out=out)
 
 
 def _edge_power_sums(
@@ -174,8 +185,15 @@ def _edge_power_sums(
     given on `low` only; an edge of zeros has r_e = -inf and s_e = 0.
     """
     g = h.grouped_incidence
-    s = g.b @ np.exp(q * w)
-    low = np.flatnonzero(s < np.finfo(np.float64).tiny)
+    z = q * w
+    s = g.b @ np.exp(z, out=z)
+    tiny = np.finfo(np.float64).tiny
+    # one reduction and no mask in the common case; a NaN min fails the
+    # test, so a NaN sum still takes the mask, which skips it
+    if s.min(initial=np.inf) >= tiny:
+        low = np.empty(0, dtype=np.intp)
+    else:
+        low = np.flatnonzero(s < tiny)
     if not low.size:
         return s, low, low
     sizes = np.diff(g.b.indptr)[low]
@@ -213,7 +231,8 @@ def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> 
     rescaled by `_edge_power_sums` has its shift folded back in as
     exp((1 - q) r_e)."""
     s, low, r = _edge_power_sums(h, w, q)
-    t = xi_vec * s ** (1.0 / q - 1.0)
+    t = np.power(s, 1.0 / q - 1.0, out=s)
+    np.multiply(xi_vec, t, out=t)
     if low.size:
         t[low] *= np.exp((1.0 - q) * r)
     return h.grouped_incidence.bt @ t
@@ -227,40 +246,61 @@ def _log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) ->
     Isolated nodes (u = -inf, v = 0) map to -inf.
     """
     w = u - u.max()
-    return (q - 1.0) * w + _log(_edge_kernel(h, xi_vec, w, q))
+    v = _edge_kernel(h, xi_vec, w, q)
+    return np.add(np.multiply(q - 1.0, w, out=w), _log(v, out=v), out=v)
 
 
-def _log_step(log_y: np.ndarray, p: float) -> np.ndarray:
-    """log T x from the log gradient: the 1/(p-1) power, then the
-    p*-normalization as a shift that gives T x unit p-norm."""
-    g = log_y / (p - 1.0)
+def _log_step(g: np.ndarray, p: float) -> np.ndarray:
+    """log T x from the log gradient g, in place: the 1/(p-1) power, then
+    the p*-normalization as a shift that gives T x unit p-norm.  g is
+    overwritten, so callers hand over a fresh `_log_gradient`."""
+    np.divide(g, p - 1.0, out=g)
     g -= _log_pnorm(g, p)
     return g
 
 
+def _in_range(a: np.ndarray) -> np.ndarray:
+    """a, the kernel output or a log gradient, unless a kernel term
+    overflowed into it (+inf, or NaN where it met a term that underflowed
+    to 0): then ValueError naming the cause."""
+    if not np.all(a < np.inf):
+        raise ValueError(
+            "a gradient kernel term xi(e) * ||x_e / max(x)||_q^(1-q) overflows the float range, "
+            "as on an edge whose largest score is below about exp(-709/(q-1)) * max(x) "
+            "(5e-35 at q=10)"
+        )
+    return a
+
+
 def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """`_log_gradient` at x >= 0, which must be positive on non-isolated nodes."""
+    """`_log_gradient` at x >= 0, which must be positive on non-isolated
+    nodes and leave every kernel term in the float range."""
     exponent("q", q)
     x = score_vector(x, h.n)
     if np.any(x < 0.0) or np.any(x[h.degrees > 0] == 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
-    return _log_gradient(h, _grouped_xi(h, xi), _log(x), q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_range(_log_gradient(h, _grouped_xi(h, xi), _log(x), q))
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
     """Gradient of the objective at x (0-homogeneous: isolated nodes map
-    to 0), as exp of the log gradient that `hypernsm` forms."""
-    return np.exp(_map_log_gradient(h, xi, x, q))
+    to 0), as exp of the log gradient that `hypernsm` forms.  Raises
+    ValueError where a kernel term overflows (see `hypercp.solver`)."""
+    g = _map_log_gradient(h, xi, x, q)
+    return np.exp(g, out=g)
 
 
 def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
     """One step T x: gradient, p*-normalization, 1/(p-1) power, as exp of
     the map in logs that `hypernsm` iterates.  Scale-invariant, with unit
     p-norm; iterated, it converges at the linear rate (q-1)/(p-1).
-    Requires finite p > q > 1, as `SolverConfig` does.
+    Requires finite p > q > 1, as `SolverConfig` does, and raises
+    ValueError where a kernel term overflows, as `objective_gradient` does.
     """
     exponents(p, q)
-    return np.exp(_log_step(_map_log_gradient(h, xi, x, q), p))
+    g = _log_step(_map_log_gradient(h, xi, x, q), p)
+    return np.exp(g, out=g)
 
 
 def thompson_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -307,7 +347,8 @@ class _Anderson:
         self.gram[k, :used] = row
         self.gram[:used, k] = row
         gamma = np.linalg.lstsq(self.gram[:used, :used], d_f @ f, rcond=None)[0]
-        return g - gamma @ self.d_g[:used]
+        step = gamma @ self.d_g[:used]
+        return np.subtract(g, step, out=step)
 
 
 def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
@@ -353,14 +394,20 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     xi_vec = _grouped_xi(h, cfg.xi)
     xi_exp = int(np.frexp(np.max(xi_vec))[1])
     xi_vec = np.ldexp(xi_vec, -xi_exp)
-    covered = h.degrees > 0
+    degrees = h.degrees
+    covered = degrees > 0
     n_isolated = int(h.n - np.count_nonzero(covered))
     # A kernel term is at least xi * |e|^(1/q - 1) at every x.  A node
     # whose terms all round to 0 (xi more than about 2^1074 below the max)
     # has kernel output 0 and a score below the float range: it is held
-    # at 0 like an isolated node and counted as underflowed.
-    grouped = h.grouped_incidence
-    active = grouped.bt @ (xi_vec * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
+    # at 0 like an isolated node and counted as underflowed.  A term with a
+    # normal xi (>= 2^-1022) exceeds 2^-1022 / |e| >= 2^-1074 and never
+    # rounds to 0, so only a subnormal xi can leave a covered node inactive.
+    subnormal_xi = xi_vec < np.finfo(np.float64).tiny
+    active = covered
+    if subnormal_xi.any():
+        grouped = h.grouped_incidence
+        active = grouped.bt @ (xi_vec * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
@@ -369,7 +416,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     u -= _log_pnorm(u, p)
 
     accel = _Anderson(ANDERSON_MEMORY, int(np.count_nonzero(active)))
-    sel = slice(None) if active.all() else active  # a view, no copy, when every node is active
+    all_active = bool(active.all())
+    sel = slice(None) if all_active else active  # a view, no copy, when every node is active
     best_r, best_g = math.inf, u
     plain = True  # u is the start or a plain step, not an extrapolation
     hold = 0  # plain steps still to take before extrapolating again
@@ -395,6 +443,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             hold = max(hold - 1, 0)
             if plain:
                 u = g
+            elif all_active:
+                u = extrapolated  # Anderson's own fresh array
             else:
                 u = g.copy()
                 u[sel] = extrapolated
@@ -418,8 +468,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     # over p - 1 and the computed fixed point by up to 1/(1-c) times that.
     w = best_g - best_g.max()
     v = _edge_kernel(h, xi_vec, w, q)
-    err = h.degrees * math.ldexp(1.0, -1074)
-    subnormal_xi = xi_vec < np.finfo(np.float64).tiny
+    err = degrees * math.ldexp(1.0, -1074)
     if subnormal_xi.any():
         err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
     rounding = map_rounding * float(np.ptp(best_g[sel]))
@@ -448,12 +497,15 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     Returns lambda * ||N(z)/lambda - z||_2 / ||z||_2, whose squares stay
     finite where a huge xi overflows those of N(z).  N is evaluated with
     the gradient's edge kernel, so edges whose q-power sums underflow are
-    rescaled exactly as in the iteration; the independent oracles are
-    in `tests/helpers.py`.
+    rescaled exactly as in the iteration, and one whose kernel term
+    overflows raises ValueError, as in `objective_gradient`; the
+    independent oracles are in `tests/helpers.py`.
     """
     w = np.asarray(result.scores, dtype=np.float64)
     q, p, lam = cfg.q, cfg.p, result.eigenvalue
     mx = np.max(w)
-    lhs = mx ** (1.0 - q) * _edge_kernel(h, _grouped_xi(h, cfg.xi), _log(w / mx), q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _in_range(_edge_kernel(h, _grouped_xi(h, cfg.xi), _log(w / mx), q))
+    lhs = mx ** (1.0 - q) * v
     z = w ** (p - q)
     return lam * float(np.linalg.norm(lhs / lam - z) / np.linalg.norm(z))

@@ -246,6 +246,86 @@ def longdouble_map(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float, p: floa
     return (y / np.sum(y**pstar) ** (1 / pstar)) ** (1 / (p - 1))
 
 
+# The map in logs as `hypercp.solver` took it before it ran in place, kept
+# verbatim (bodies unchanged, names prefixed) as the bit-for-bit reference
+# for `solver._log_step(solver._log_gradient(...))`.  Every operation here
+# allocates its result.
+
+
+def _reference_log_pnorm(a: np.ndarray, p: float) -> float:
+    """log ||exp(a)||_p, taken about max(a) so that no power overflows."""
+    top = float(a.max())
+    return top + math.log(float(np.exp(p * (a - top)).sum())) / p
+
+
+def _reference_log(x: np.ndarray) -> np.ndarray:
+    """Entrywise log of a nonnegative vector, -inf at 0 without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _reference_edge_power_sums(
+    h: Hypergraph, w: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge q-power sums of exp(w) as s_e * exp(q r_e), for log scores
+    w <= 0 (-inf for a score of 0), in grouped edge order.
+
+    s = B exp(q w) with r_e = 0, except on the edges where that sum
+    underflows below the smallest normal float: those are returned as
+    `low` (positions in grouped order) and recomputed with r_e their
+    largest member's log score and s_e = sum exp(q (w_i - r_e)).  r is
+    given on `low` only; an edge of zeros has r_e = -inf and s_e = 0.
+    """
+    g = h.grouped_incidence
+    s = g.b @ np.exp(q * w)
+    low = np.flatnonzero(s < np.finfo(np.float64).tiny)
+    if not low.size:
+        return s, low, low
+    sizes = np.diff(g.b.indptr)[low]
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    vals = w[g.b.indices[row_indices(g.b.indptr, low)]]
+    r = np.maximum.reduceat(vals, starts)
+    shift = np.repeat(np.where(r > -np.inf, r, 0.0), sizes)
+    s[low] = np.add.reduceat(np.exp(q * (vals - shift)), starts)
+    return s, low, r
+
+
+def _reference_edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
+    """B^T (xi * e^(1/q - 1)) for log scores w <= 0 and xi in grouped
+    edge order, where e are the edge q-power sums of exp(w); an edge
+    rescaled by `_edge_power_sums` has its shift folded back in as
+    exp((1 - q) r_e)."""
+    s, low, r = _reference_edge_power_sums(h, w, q)
+    t = xi_vec * s ** (1.0 / q - 1.0)
+    if low.size:
+        t[low] *= np.exp((1.0 - q) * r)
+    return h.grouped_incidence.bt @ t
+
+
+def _reference_log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
+    """Log of the objective's gradient at exp(u).
+
+    Entry i is (q-1) * w_i + log v_i, with w = u - max(u) and v the
+    kernel output: the gradient does not change when x is scaled.
+    Isolated nodes (u = -inf, v = 0) map to -inf.
+    """
+    w = u - u.max()
+    return (q - 1.0) * w + _reference_log(_reference_edge_kernel(h, xi_vec, w, q))
+
+
+def _reference_log_step(log_y: np.ndarray, p: float) -> np.ndarray:
+    """log T x from the log gradient: the 1/(p-1) power, then the
+    p*-normalization as a shift that gives T x unit p-norm."""
+    g = log_y / (p - 1.0)
+    g -= _reference_log_pnorm(g, p)
+    return g
+
+
+def reference_log_map(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float, p: float) -> np.ndarray:
+    """log T(exp(u)) for xi in grouped edge order, computed out of place."""
+    return _reference_log_step(_reference_log_gradient(h, xi_vec, u, q), p)
+
+
 def longdouble_fixed_point(
     h: Hypergraph, rule: XiRule, p: float, q: float, tol: float = 1e-14, max_iter: int = 100_000
 ) -> np.ndarray:

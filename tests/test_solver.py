@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypercp import (
     Hypergraph,
     SolverConfig,
+    SolverResult,
     XiRule,
     eigen_residual,
     hypernsm,
@@ -18,6 +19,7 @@ from hypercp import (
     objective_gradient,
     thompson_distance,
 )
+from hypercp import solver
 
 from helpers import (
     dense_gradient,
@@ -27,6 +29,7 @@ from helpers import (
     naive_objective,
     plain_map_steps,
     random_hypergraph,
+    reference_log_map,
 )
 
 RECIP = XiRule.RECIPROCAL
@@ -168,6 +171,43 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="positive"):
             fn(h, RECIP, np.array([1.0, 1.0, -1.0]), 10.0)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [objective_gradient, lambda h, xi, x, q: iteration_map(h, xi, x, q, 11.0),
+         lambda h, xi, x, q: eigen_residual(h, SolverResult(x, 1.0, 1, True, []), SolverConfig(q=q, xi=xi))],
+        ids=["objective_gradient", "iteration_map", "eigen_residual"],
+    )
+    def test_low_edge_overflow_reported(self, fn):
+        # edge {1, 2} lies 1e-40 below the max: its kernel term carries
+        # exp((1-q) r_e) ~ 1e360, which came back as a gradient of
+        # [1, inf, inf] where the true one is [1, 0.536, 0.536] (as at 1e-30)
+        h = Hypergraph(3, [[0, 1], [1, 2]])
+        assert objective_gradient(h, UNIT, np.array([1.0, 1e-30, 1e-30]), 10.0) == pytest.approx(
+            [1.0, 0.5359, 0.5359], rel=1e-4)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            fn(h, UNIT, np.array([1.0, 1e-40, 1e-40]), 10.0)
+
+    @pytest.mark.parametrize("low", [False, True], ids=["plain", "low-edges"])
+    def test_read_only_inputs_left_unchanged(self, low):
+        # the map computes in place on arrays it allocates itself, never
+        # on its caller's; a read-only input would raise on any write
+        h = Hypergraph(7, [[0, 1, 2], [0, 5], [1, 6], [2, 3, 4], [2, 3, 5, 6], [3, 4], [4, 5]],
+                       weights=[2.0, 1.0, 0.5, 3.0, 1.5, 0.25, 4.0])
+        x = np.array([1.0, 1e-20, 1e-33, 3e-34, 1e-34, 2e-33, 5e-34]) if low else np.linspace(0.5, 1.5, 7)
+        y = np.linspace(1.5, 0.5, 7)
+        cfg = SolverConfig(xi=XiRule.WEIGHTED_RECIPROCAL)
+        result = hypernsm(h, cfg)
+        inputs = (x, y, result.scores)
+        kept = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        objective(h, cfg.xi, x, cfg.q)
+        objective_gradient(h, cfg.xi, x, cfg.q)
+        iteration_map(h, cfg.xi, x, cfg.q, cfg.p)
+        eigen_residual(h, result, cfg)
+        thompson_distance(x, y)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+
 
 class TestIterationMap:
     def test_scale_invariance(self):
@@ -243,6 +283,48 @@ class TestIterationMap:
         want = np.log(longdouble_map(h, rule, x, q, p)[active])
         assert np.max(np.abs(np.log(got[active]) - want)) <= 1e-12
         assert np.all(got[~active] == 0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        m=st.integers(1, 15),
+        isolated=st.integers(0, 2),
+        rule=st.sampled_from(list(XiRule)),
+        qp=st.sampled_from([(10.0, 12.0), (10.0, 10.1), (10.0, 11.0), (3.0, 4.0), (2.0, 7.0), (1.5, 2.5)]),
+        depth=st.sampled_from([1.06, 1.02, 1.1, 1.3, 0.6, 0.0]),
+        deep=st.sampled_from([0.9, 0.6, 0.3]),
+        faint=st.sampled_from([0.3, 0.6, 0.0]),
+    )
+    def test_log_map_bits_match_reference(self, seed, n, m, isolated, rule, qp, depth, deep, faint):
+        # The in-place map against the out-of-place one it replaced, bit
+        # for bit.  xi is scaled as hypernsm scales it, and a `faint` share
+        # of the edges other than the largest get a subnormal xi or 0: a
+        # node with no nonzero kernel term is inactive (u = -inf), like an
+        # isolated node.  A `deep` share of the scores, never all, sits
+        # `depth` times 708/q below the rest (40 decades at q=10 for 1.3): an
+        # edge whose members all lie deeper than 1 is rescaled, deeper
+        # than about 1.1 at q=10 its kernel term overflows.
+        rng = np.random.default_rng(seed)
+        core = random_hypergraph(rng, n, m, smax=min(5, n), weighted=True)
+        h = Hypergraph(n + isolated, edge_tuples(core), weights=core.weights)
+        q, p = qp
+        xi = solver._grouped_xi(h, rule)
+        xi = np.ldexp(xi, -int(np.frexp(np.max(xi))[1]))
+        dim = rng.random(h.m) < faint
+        dim[np.argmax(xi)] = False
+        xi[dim] = np.ldexp(xi[dim], -rng.integers(1050, 1110, size=np.count_nonzero(dim)))
+        grouped = h.grouped_incidence
+        active = grouped.bt @ (xi * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
+        k = np.count_nonzero(active)
+        u = np.full(h.n, -np.inf)
+        sunk = rng.random(k) < deep
+        sunk[rng.integers(k)] = False
+        u[active] = np.where(sunk, -depth * 708.0 / q, 0.0) - rng.uniform(0.0, 3.0, k)
+        with np.errstate(all="ignore"):
+            want = reference_log_map(h, xi, u, q, p)
+            got = solver._log_step(solver._log_gradient(h, xi, u, q), p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_map_at_path_fixed_point_matches_longdouble_map(self):
         # p=10.1: scores fall to 1.5e-35 below the max.  Maps taken on
@@ -552,6 +634,7 @@ class TestSolver:
         h = Hypergraph(2, [[0, 1]])
         d = hypernsm(h, SolverConfig()).to_json_dict()
         assert set(d) == {"scores", "eigenvalue", "iterations", "converged", "residuals"}
+        assert all(type(s) is float for s in d["scores"])
         assert isinstance(d["converged"], bool)
 
 
