@@ -188,8 +188,8 @@ def _edge_power_sums(
     z = q * w
     s = g.b @ np.exp(z, out=z)
     tiny = np.finfo(np.float64).tiny
-    # one reduction and no mask in the common case; a NaN min fails the
-    # test, so a NaN sum still takes the mask, which skips it
+    # a min costs less than the mask (BENCH_19.json `fast_paths`); a NaN
+    # min fails the test, so a NaN sum takes the mask, which skips it
     if s.min(initial=np.inf) >= tiny:
         low = np.empty(0, dtype=np.intp)
     else:
@@ -400,14 +400,9 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     # A kernel term is at least xi * |e|^(1/q - 1) at every x.  A node
     # whose terms all round to 0 (xi more than about 2^1074 below the max)
     # has kernel output 0 and a score below the float range: it is held
-    # at 0 like an isolated node and counted as underflowed.  A term with a
-    # normal xi (>= 2^-1022) exceeds 2^-1022 / |e| >= 2^-1074 and never
-    # rounds to 0, so only a subnormal xi can leave a covered node inactive.
-    subnormal_xi = xi_vec < np.finfo(np.float64).tiny
-    active = covered
-    if subnormal_xi.any():
-        grouped = h.grouped_incidence
-        active = grouped.bt @ (xi_vec * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
+    # at 0 like an isolated node and counted as underflowed.
+    grouped = h.grouped_incidence
+    active = grouped.bt @ (xi_vec * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
@@ -469,6 +464,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     w = best_g - best_g.max()
     v = _edge_kernel(h, xi_vec, w, q)
     err = degrees * math.ldexp(1.0, -1074)
+    subnormal_xi = xi_vec < np.finfo(np.float64).tiny
     if subnormal_xi.any():
         err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
     rounding = map_rounding * float(np.ptp(best_g[sel]))
@@ -499,9 +495,14 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     the gradient's edge kernel, so edges whose q-power sums underflow are
     rescaled exactly as in the iteration, and one whose kernel term
     overflows raises ValueError, as in `objective_gradient`; the
-    independent oracles are in `tests/helpers.py`.
+    independent oracles are in `tests/helpers.py`.  An edge whose scores
+    are all 0, as where `hypernsm`'s scores underflow, has an infinite
+    kernel term and raises ValueError too.
     """
     w = np.asarray(result.scores, dtype=np.float64)
+    if np.any(h.grouped_incidence.b @ (w > 0.0) == 0.0):
+        raise ValueError("eigen_residual needs a positive score on every edge: the kernel term "
+                         "of an edge whose scores are all 0 is infinite")
     q, p, lam = cfg.q, cfg.p, result.eigenvalue
     mx = np.max(w)
     with np.errstate(over="ignore", invalid="ignore"):

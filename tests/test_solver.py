@@ -187,6 +187,14 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="overflows the float range"):
             fn(h, UNIT, np.array([1.0, 1e-40, 1e-40]), 10.0)
 
+    def test_eigen_residual_edge_of_zeros_reported(self):
+        # underflowed scores can leave an edge all 0: its kernel term is
+        # infinite, which is not the overflow of a low but positive edge
+        h = Hypergraph(3, [[0, 1], [1, 2]])
+        result = SolverResult(np.array([1.0, 0.0, 0.0]), 1.0, 1, True, [])
+        with pytest.raises(ValueError, match="scores are all 0"):
+            eigen_residual(h, result, SolverConfig(xi=UNIT))
+
     @pytest.mark.parametrize("low", [False, True], ids=["plain", "low-edges"])
     def test_read_only_inputs_left_unchanged(self, low):
         # the map computes in place on arrays it allocates itself, never
