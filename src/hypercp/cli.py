@@ -11,12 +11,30 @@ Subcommands:
 Every run writes a JSON manifest recording the resolved options, so any
 output can be reproduced later; outputs are written atomically (temp
 file + rename), never partially.
+
+Process exit.  Run as the process entry point (``main()`` with no argv:
+the ``hypercp`` script, ``python -m hypercp.cli``), `main` registers
+`gc.freeze` with `atexit`.  It runs before the earlier-registered
+`logging.shutdown`, and the interpreter's shutdown collections then skip
+every frozen object: after a ``detect`` some 40k tracked objects, most
+of them loaded with numpy and scipy.  On a 1e4-node, 4e4-edge file that
+cut the time from `main`'s return to the end of the process from about
+80 to 17 ms (one CPU of a shared 2-vCPU host).  Streams are still
+flushed and `atexit` handlers still run; every output file is closed by
+its ``with`` block before `main` returns.  A caller that passes argv
+(tests, `rerun`, an embedding program) keeps the collector as it was.
+Rejected: `gc.disable()` (the finalizer collects anyway: 74 -> 68 ms),
+`os._exit` (11 ms faster still, but it skips `atexit` and the stdio
+flush) and a freeze at import time (that changes the exit of every
+importer).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import os
@@ -252,10 +270,8 @@ def cmd_rerun(args) -> int:
         if value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        else:
-            argv += [flag, str(value)]
+        # one token, so a value that starts with "-" is not read as a flag
+        argv.append(flag if value is True else f"{flag}={value}")
     return main(argv)
 
 
@@ -307,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # the process entry point: skip the shutdown collections
+        atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -182,7 +182,7 @@ def _edge_power_sums(
     underflows below the smallest normal float: those are returned as
     `low` (positions in grouped order) and recomputed with r_e their
     largest member's log score and s_e = sum exp(q (w_i - r_e)).  r is
-    given on `low` only; an edge of zeros has r_e = -inf and s_e = 0.
+    given on `low` only; an edge of zeros has r_e = -inf and s_e = 1.
     """
     g = h.grouped_incidence
     z = q * w
@@ -200,8 +200,9 @@ def _edge_power_sums(
     starts = np.r_[0, np.cumsum(sizes)[:-1]]
     vals = w[g.b.indices[row_indices(g.b.indptr, low)]]
     r = np.maximum.reduceat(vals, starts)
-    shift = np.repeat(np.where(r > -np.inf, r, 0.0), sizes)
-    s[low] = np.add.reduceat(np.exp(q * (vals - shift)), starts)
+    nonzero = r > -np.inf
+    shift = np.repeat(np.where(nonzero, r, 0.0), sizes)
+    s[low] = np.where(nonzero, np.add.reduceat(np.exp(q * (vals - shift)), starts), 1.0)
     return s, low, r
 
 
@@ -229,12 +230,17 @@ def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> 
     """B^T (xi * e^(1/q - 1)) for log scores w <= 0 and xi in grouped
     edge order, where e are the edge q-power sums of exp(w); an edge
     rescaled by `_edge_power_sums` has its shift folded back in as
-    exp((1 - q) r_e)."""
+    exp((1 - q) r_e).  The factor is skipped, and the term set to 0,
+    where the term is 0 already (xi = 0) or the edge is all zeros
+    (r_e = -inf: every member inactive, so its term meets only gradient
+    entries x_i^(q-1) = 0); there it would make 0 * inf = NaN."""
     s, low, r = _edge_power_sums(h, w, q)
     t = np.power(s, 1.0 / q - 1.0, out=s)
     np.multiply(xi_vec, t, out=t)
     if low.size:
-        t[low] *= np.exp((1.0 - q) * r)
+        live = (t[low] > 0.0) & (r > -np.inf)
+        t[low[~live]] = 0.0
+        t[low[live]] *= np.exp((1.0 - q) * r[live])
     return h.grouped_incidence.bt @ t
 
 
@@ -461,12 +467,15 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     # share of the xi), and any of a node's kernel terms and partial sums.
     # That share of the kernel output moves the map's output by itself
     # over p - 1 and the computed fixed point by up to 1/(1-c) times that.
+    # On an edge whose xi rounded to 0 that share can overflow: the bound
+    # is then infinite.
     w = best_g - best_g.max()
     v = _edge_kernel(h, xi_vec, w, q)
     err = degrees * math.ldexp(1.0, -1074)
     subnormal_xi = xi_vec < np.finfo(np.float64).tiny
     if subnormal_xi.any():
-        err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
+        with np.errstate(over="ignore"):
+            err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
     rounding = map_rounding * float(np.ptp(best_g[sel]))
     slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
     cert_bound = None if underflowed else (c * best_r + slack) / (1.0 - c)

@@ -294,11 +294,13 @@ def _reference_edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: 
     """B^T (xi * e^(1/q - 1)) for log scores w <= 0 and xi in grouped
     edge order, where e are the edge q-power sums of exp(w); an edge
     rescaled by `_edge_power_sums` has its shift folded back in as
-    exp((1 - q) r_e)."""
+    exp((1 - q) r_e), except that a term that is 0 before it (xi = 0)
+    or on an edge of zeros (r_e = -inf) is 0."""
     s, low, r = _reference_edge_power_sums(h, w, q)
     t = xi_vec * s ** (1.0 / q - 1.0)
     if low.size:
-        t[low] *= np.exp((1.0 - q) * r)
+        live = (t[low] > 0.0) & (r > -np.inf)
+        t[low] = np.where(live, t[low] * np.exp((1.0 - q) * r), 0.0)
     return h.grouped_incidence.bt @ t
 
 

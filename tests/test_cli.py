@@ -255,6 +255,19 @@ class TestCompare:
         }
         assert before == after
 
+    def test_rerun_replays_values_that_start_with_a_dash(self, hypercycle_file, tmp_path,
+                                                         monkeypatch):
+        # a value that starts with "-" must reach the parser as "--out=-p.csv", one token
+        monkeypatch.chdir(tmp_path)
+        assert run(["detect", "--input", hypercycle_file, "--out", "s.json"]) == 0
+        assert run(["profile", "--input", hypercycle_file, "--scores", "s.json",
+                    "--out=-p.csv", "--method-label=-neg"]) == 0
+        first = (tmp_path / "-p.csv").read_bytes()
+        assert b"-neg" in first
+        (tmp_path / "-p.csv").unlink()
+        assert run(["rerun", tmp_path / "-p.csv.manifest.json"]) == 0
+        assert (tmp_path / "-p.csv").read_bytes() == first
+
     @pytest.mark.parametrize("text", ["not json", "{}", "[]", '{"subcommand": "detect"}',
                                       '{"subcommand": "detect", "options": []}'])
     def test_rerun_reports_bad_manifest(self, tmp_path, capsys, text):
@@ -345,6 +358,27 @@ print(json.dumps(loaded))
         assert outside.read_bytes() == inside.read_bytes()
         labels = [Path(f"{path}.labels.json").read_bytes() for path in (outside, inside)]
         assert labels[0] == labels[1]
+
+    @pytest.mark.parametrize("call,frozen", [
+        ("import runpy; runpy.run_module('hypercp.cli', run_name='__main__')", True),
+        ("from hypercp.cli import main; sys.exit(main())", True),
+        ("from hypercp.cli import main; rc = main(sys.argv[1:]); "
+         "print('frozen after main:', gc.get_freeze_count() > 0); sys.exit(rc)", False),
+    ], ids=["run-module", "script-main", "main-with-argv"])
+    def test_gc_frozen_at_exit_only_from_the_entry_point(self, hypercycle_file, tmp_path,
+                                                        call, frozen):
+        # the handler registered first runs last, after any that main registers
+        script = f"""
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+sys.argv = ["hypercp", "detect", "--input", {str(hypercycle_file)!r}, "--out", "d.json"]
+{call}
+"""
+        proc = self.child("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        want = ["frozen after main: False"] * (not frozen) + [f"frozen at exit: {frozen}"]
+        assert proc.stdout.splitlines() == want
+        assert json.loads((tmp_path / "d.json").read_text())["converged"]
 
     def test_every_text_file_is_opened_as_utf8(self, tmp_path):
         # an open() that leaves the encoding to the locale raises here

@@ -577,6 +577,24 @@ class TestSolver:
         messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
         assert messages == ["1 non-isolated node scores underflowed to 0"]
 
+    @pytest.mark.parametrize("p,zeros", [(11.0, [3, 4]), (10.1, [2, 3, 4])])
+    def test_edge_of_inactive_nodes_adds_zero(self, p, zeros, caplog):
+        # scaling xi by 2^-997 rounds the xi of {2, 3} and {3, 4} to 0, so
+        # nodes 3 and 4 are inactive and {3, 4} has no active member.  Its
+        # kernel term, and that of {2, 3} once node 2 fell below 5e-35, was
+        # 0 * inf = NaN, and the solve ended in a LinAlgError
+        h = Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[1e300, 1, 1e-300, 1e-300])
+        res = hypernsm(h, SolverConfig(p=p, q=10.0, xi=UNIT))
+        live = np.setdiff1d(np.arange(5), zeros)
+        assert np.all(res.scores[zeros] == 0.0)
+        assert np.all(np.isfinite(res.scores)) and np.all(res.scores[live] > 0.0)
+        assert np.sum(res.scores**p) == pytest.approx(1.0, rel=1e-12)
+        assert res.cert_bound is None and not res.converged
+        messages = [r.getMessage() for r in caplog.records if r.name == "hypercp.solver"]
+        assert messages == [f"{len(zeros)} non-isolated node scores underflowed to 0"]
+        assert objective(h, UNIT, res.scores, 10.0) == pytest.approx(
+            naive_objective(h, UNIT, res.scores, 10.0), rel=1e-12)
+
     @pytest.mark.parametrize("seed,p", [*((s, p) for s in range(12) for p in (11.0, 10.1)), (None, 10.2)])
     def test_cert_bound_covers_map_rounding(self, seed, p):
         # at tolerances near 1e-13 the map's own rounding, not the step,
