@@ -22,6 +22,15 @@ relative error, the Jacobian's norm is 2c, so there the bound is an
 estimate that a solve on a sparse hypergraph can exceed by a small
 factor (tests/test_solver.py).
 
+Near the fixed point Anderson mixes a preconditioned map P, not T.  In
+u, T's Jacobian has the diagonal c (1 - a_i), a_i in [0, 1] node i's own
+share of its edges' q-norms: a node that is the largest in none of its
+edges has a_i near 0 and on its own converges only at the rate c.
+P u = u + (T u - u) / (1 - c + c min(1, a)), shifted to unit p-norm, is
+a one-step Jacobi-Newton correction (Ortega & Rheinboldt 1970) that
+divides that diagonal out; it has T's fixed points.  The stop rule and
+the bound stay on T's own step (see `hypernsm`).
+
 There is one map, taken in logs, and one kernel of two sparse
 matrix-vector products with the incidence matrix B of the hypergraph.
 It takes log scores w = log(x / max(x)) <= 0 and forms z^q as
@@ -92,6 +101,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ANDERSON_MEMORY = 5  # differences kept by hypernsm's Anderson acceleration
+PRECONDITION_STEP = 1e-2  # Thompson step below which hypernsm preconditions Anderson's map
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,9 +146,10 @@ class SolverResult:
     unless its score lies below the float range and underflowed to 0.
     residual_trace holds the Thompson step d_T(x, T x) of every map, and
     cert_bound the error bound of the returned scores (see `hypernsm`):
-    None when a returned score underflowed to 0.  The linear
-    Borgatti-Everett baseline returns unit 2-norm scores, an empty trace
-    and no bound.
+    None when a returned score underflowed to 0.  preconditioned_maps
+    counts the maps whose preconditioned step `hypernsm` fed its Anderson
+    mixing.  The linear Borgatti-Everett baseline returns unit 2-norm
+    scores, an empty trace, no bound and no preconditioned map.
     """
 
     scores: np.ndarray
@@ -148,6 +159,7 @@ class SolverResult:
     residual_trace: list[float]
     cert_bound: float | None = None
     isolated_nodes: int = 0
+    preconditioned_maps: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,15 +186,16 @@ def _log(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _edge_power_sums(
     h: Hypergraph, w: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge q-power sums of exp(w) as s_e * exp(q r_e), for log scores
-    w <= 0 (-inf for a score of 0), in grouped edge order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(z, s, low, r): z = exp(q w) for log scores w <= 0 (-inf for a
+    score of 0), and the edge q-power sums of exp(w) as s_e * exp(q r_e)
+    in grouped edge order.
 
-    s = B exp(q w) with r_e = 0, except on the edges where that sum
-    underflows below the smallest normal float: those are returned as
-    `low` (positions in grouped order) and recomputed with r_e their
-    largest member's log score and s_e = sum exp(q (w_i - r_e)).  r is
-    given on `low` only; an edge of zeros has r_e = -inf and s_e = 1.
+    s = B z with r_e = 0, except on the edges where that sum underflows
+    below the smallest normal float: those are returned as `low`
+    (positions in grouped order) and recomputed with r_e their largest
+    member's log score and s_e = sum exp(q (w_i - r_e)).  r is given on
+    `low` only; an edge of zeros has r_e = -inf and s_e = 1.
     """
     g = h.grouped_incidence
     z = q * w
@@ -195,7 +208,7 @@ def _edge_power_sums(
     else:
         low = np.flatnonzero(s < tiny)
     if not low.size:
-        return s, low, low
+        return z, s, low, low
     sizes = np.diff(g.b.indptr)[low]
     starts = np.r_[0, np.cumsum(sizes)[:-1]]
     vals = w[g.b.indices[row_indices(g.b.indptr, low)]]
@@ -203,7 +216,7 @@ def _edge_power_sums(
     nonzero = r > -np.inf
     shift = np.repeat(np.where(nonzero, r, 0.0), sizes)
     s[low] = np.where(nonzero, np.add.reduceat(np.exp(q * (vals - shift)), starts), 1.0)
-    return s, low, r
+    return z, s, low, r
 
 
 def _grouped_xi(h: Hypergraph, rule: XiRule) -> np.ndarray:
@@ -220,28 +233,38 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     mx = float(np.max(x, initial=0.0))
     if h.m == 0 or mx == 0.0:
         return 0.0
-    s, low, r = _edge_power_sums(h, _log(x / mx), q)
+    _, s, low, r = _edge_power_sums(h, _log(x / mx), q)
     norms = s ** (1.0 / q)
     norms[low] *= np.exp(r)
     return mx * float(np.sum(_grouped_xi(h, xi) * norms))
 
 
-def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
-    """B^T (xi * e^(1/q - 1)) for log scores w <= 0 and xi in grouped
-    edge order, where e are the edge q-power sums of exp(w); an edge
-    rescaled by `_edge_power_sums` has its shift folded back in as
-    exp((1 - q) r_e).  The factor is skipped, and the term set to 0,
+def _edge_terms(
+    h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float, keep_sums: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(z, s, t, low) for log scores w <= 0 and xi in grouped edge order:
+    z, s and low from `_edge_power_sums`, and the kernel's edge terms
+    t = xi * s^(1/q - 1), formed in s's buffer unless keep_sums.
+
+    An edge rescaled by `_edge_power_sums` has its shift folded back into
+    t as exp((1 - q) r_e).  The factor is skipped, and the term set to 0,
     where the term is 0 already (xi = 0) or the edge is all zeros
     (r_e = -inf: every member inactive, so its term meets only gradient
     entries x_i^(q-1) = 0); there it would make 0 * inf = NaN."""
-    s, low, r = _edge_power_sums(h, w, q)
-    t = np.power(s, 1.0 / q - 1.0, out=s)
+    z, s, low, r = _edge_power_sums(h, w, q)
+    t = np.power(s, 1.0 / q - 1.0, out=None if keep_sums else s)
     np.multiply(xi_vec, t, out=t)
     if low.size:
         live = (t[low] > 0.0) & (r > -np.inf)
         t[low[~live]] = 0.0
         t[low[live]] *= np.exp((1.0 - q) * r[live])
-    return h.grouped_incidence.bt @ t
+    return z, s, t, low
+
+
+def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
+    """B^T t, t the edge terms xi * e^(1/q - 1) of `_edge_terms`, e the
+    edge q-power sums of exp(w)."""
+    return h.grouped_incidence.bt @ _edge_terms(h, xi_vec, w, q)[2]
 
 
 def _log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
@@ -251,9 +274,28 @@ def _log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) ->
     kernel output: the gradient does not change when x is scaled.
     Isolated nodes (u = -inf, v = 0) map to -inf.
     """
+    return _log_gradient_terms(h, xi_vec, u, q)[0]
+
+
+def _log_gradient_terms(
+    h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float, want_rho: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(`_log_gradient`, z, low, rho): the log gradient at exp(u) and what
+    `hypernsm`'s preconditioner reads from its kernel.  z = exp(q w) and
+    low are `_edge_power_sums`'.  rho = B^T(t / s) / v, t the edge terms,
+    s the edge sums and v = B^T t, costs one more B^T product and is
+    formed only when want_rho and no edge is rescaled (else None);
+    z * rho is node i's share a_i of its edges' q-norms.  rho is NaN on
+    inactive nodes (v = 0) and may overflow where an edge sum is tiny."""
     w = u - u.max()
-    v = _edge_kernel(h, xi_vec, w, q)
-    return np.add(np.multiply(q - 1.0, w, out=w), _log(v, out=v), out=v)
+    z, s, t, low = _edge_terms(h, xi_vec, w, q, keep_sums=want_rho)
+    bt = h.grouped_incidence.bt
+    v = bt @ t
+    rho = None
+    if want_rho and not low.size:
+        with np.errstate(all="ignore"):
+            rho = np.divide(bt @ np.divide(t, s, out=s), v)
+    return np.add(np.multiply(q - 1.0, w, out=w), _log(v, out=v), out=v), z, low, rho
 
 
 def _log_step(g: np.ndarray, p: float) -> np.ndarray:
@@ -357,6 +399,27 @@ class _Anderson:
         return np.subtract(g, step, out=step)
 
 
+def _jacobi_step(
+    u: np.ndarray, f: np.ndarray, g: np.ndarray, a: np.ndarray, c: float, p: float, sel
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(P u - u on the active nodes `sel`, P u) for the T step f = g[sel] - u[sel],
+    g = log T(exp u), and the shares a of T's Jacobian diagonal c (1 - a):
+    P u = u + f / (1 - c + c min(1, a)) there, shifted to unit p-norm.
+    None where P u is not finite.  a is overwritten."""
+    d = np.minimum(a, 1.0, out=a)
+    d *= c
+    d += 1.0 - c
+    step = np.divide(f, d, out=d)
+    image = g.copy()
+    image[sel] = u[sel] + step
+    shift = _log_pnorm(image, p)
+    if not math.isfinite(shift):
+        return None
+    image -= shift
+    step -= shift
+    return step, image
+
+
 def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Compute the global core-score vector of a hypergraph.
 
@@ -378,6 +441,22 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     Non-convergence within cfg.max_iter is flagged, not raised; the best
     point's T x and bound are returned, as they are when cfg.tol is below
     the map's rounding term and c * d_T(x, T x) within it.
+
+    Once the best Thompson step is below `PRECONDITION_STEP` and no edge
+    sum is rescaled, Anderson is fed P u (see `hypercp.solver`) on the
+    active nodes in place of T u; `preconditioned_maps` counts those
+    maps.  P's a = z * rho takes z = exp(q w) fresh from each map's
+    kernel, and rho = B^T(t / s) / v (edge terms t, edge sums s, node
+    sums v) once, at the switch, for one more B^T product: refreshed on
+    every map, rho saved few maps for a B^T product each, and a frozen a
+    (z included) left solves that did not converge.  A map with rescaled
+    edges, or a P u that is not finite, feeds T u.  A P step is accepted
+    whatever its step, as a plain step is, but its map runs with
+    floating-point errors ignored and a non-finite one falls back to the
+    best point's T step, as for an extrapolation.  The stop rule,
+    residual_trace, the best point, cert_bound and the returned T x stay
+    on T's step: the bound is about T's contraction and T x, and P's
+    step (up to 1/(1-c) times T's) bounds neither.
 
     The scores are exp(u), taken once at the end.  A non-isolated score
     below the float range underflows to 0 there ("underflowed"): that
@@ -420,35 +499,51 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     all_active = bool(active.all())
     sel = slice(None) if all_active else active  # a view, no copy, when every node is active
     best_r, best_g = math.inf, u
-    plain = True  # u is the start or a plain step, not an extrapolation
+    exact = True  # u is the start or a T step: its map reports floating-point errors
+    plain = True  # u is not an extrapolation, so it is accepted whatever its step
     hold = 0  # plain steps still to take before extrapolating again
+    rho = None  # the preconditioner's B^T(t / s) / v on the active nodes, once switched on
+    preconditioned = 0
 
     steps: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        # an extrapolation may leave the kernel's range; its map is then dropped
-        with np.errstate(all=None if plain else "ignore"):
-            g = _log_step(_log_gradient(h, xi_vec, u, q), p)
+        # an extrapolation or a P step may leave the kernel's range; its map is then dropped
+        with np.errstate(all=None if exact else "ignore"):
+            g, z, low, fresh = _log_gradient_terms(
+                h, xi_vec, u, q, want_rho=rho is None and best_r < PRECONDITION_STEP
+            )
+            g = _log_step(g, p)
         f = g[sel] - u[sel]
         r = float(np.abs(f).max())
+        if fresh is not None and r < math.inf:
+            rho = fresh[sel]
         steps.append(r)
         # stop once cert_bound's step and rounding terms (see below) are within tol
         if bound * r <= cfg.tol and c * r + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
             best_r, best_g, converged = r, g, True
             break
-        if plain or r < best_r:
+        # a P step is accepted whatever its step, but not a non-finite map
+        if plain and (exact or r < math.inf) or r < best_r:
             best_r, best_g = r, g
-            extrapolated = accel.update(f, g[sel])
+            step, image = f, g
+            if rho is not None and not low.size:
+                with np.errstate(all="ignore"):
+                    jacobi = _jacobi_step(u, f, g, z[sel] * rho, c, p, sel)
+                if jacobi is not None:
+                    (step, image), preconditioned = jacobi, preconditioned + 1
+            extrapolated = accel.update(step, image[sel])
             plain = extrapolated is None or hold > 0
             hold = max(hold - 1, 0)
             if plain:
-                u = g
+                u = image
             elif all_active:
                 u = extrapolated  # Anderson's own fresh array
             else:
-                u = g.copy()
+                u = image.copy()
                 u[sel] = extrapolated
+            exact = plain and image is g
             continue
         # No progress.  Stop if the map's rounding alone keeps cert_bound
         # over tol and the step is within it; else take the best point's
@@ -456,9 +551,10 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         floor = map_rounding * np.ptp(best_g[sel])
         if floor > (1.0 - c) * cfg.tol and c * best_r <= floor:
             break
-        u, plain, hold = best_g, True, ANDERSON_MEMORY
+        u, exact, plain, hold = best_g, True, True, ANDERSON_MEMORY
         accel.clear()
 
+    log.debug("hypernsm: %d maps, %d of them preconditioned", iterations, preconditioned)
     x = np.exp(best_g)
     if underflowed := int(np.count_nonzero(x[covered] == 0.0)):
         log.warning("%d non-isolated node scores underflowed to 0", underflowed)
@@ -488,6 +584,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         residual_trace=steps,
         cert_bound=cert_bound,
         isolated_nodes=n_isolated,
+        preconditioned_maps=preconditioned,
     )
 
 
