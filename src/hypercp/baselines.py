@@ -49,12 +49,13 @@ def _clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
             f"clique expansion needs {pair_count} pair accumulations, "
             f"over the budget of {PAIR_BUDGET}"
         )
-    # A = B^T (diag(w) B) minus its diagonal.  B^T stays the untouched left
-    # operand, its rows listing each node's edges in canonical order: that
-    # fixes how each pair weight is summed ((B^T diag(w)) B moves bits).
-    # Columns are sorted: the power iteration's sums read them in stored order.
-    g = h.grouped_incidence
-    a = g.bt @ (sp.diags(np.ldexp(h.weights[g.order], -scale_exp)) @ g.b)
+    # A = B^T (diag(w) B) minus its diagonal, B in edge order.  B^T stays the
+    # untouched left operand, its rows listing each node's edges in ascending
+    # id order: that fixes how each pair weight is summed ((B^T diag(w)) B
+    # moves bits).  Columns are sorted: the power iteration reads them in order.
+    b = sp.csr_matrix((np.ones(h.members.size), h.members, h.offsets), shape=(h.m, h.n))
+    w = np.repeat(np.ldexp(h.weights, -scale_exp), h.sizes)
+    a = b.T.tocsr() @ sp.csr_matrix((w, b.indices, b.indptr), shape=b.shape)
     a.setdiag(0.0)
     a.eliminate_zeros()
     a.sort_indices()
@@ -158,10 +159,13 @@ def _rows(ptr: np.ndarray, data: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _node_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's edge ids, ascending, as CSR (ptr, ids): the rows of the
-    grouped Bt with their edges renumbered back to canonical ids."""
-    g = h.grouped_incidence
-    return g.bt.indptr.astype(np.int64), g.order[g.bt.indices]
+    """Each node's edge ids, ascending, as CSR (ptr, ids): the rows of B^T,
+    B in edge order, which scipy transposes by a counting sort."""
+    import scipy.sparse as sp
+
+    b = sp.csr_matrix((np.ones(h.members.size, dtype=bool), h.members, h.offsets), shape=(h.m, h.n))
+    bt = b.T.tocsr()
+    return bt.indptr.astype(np.int64), bt.indices.astype(np.int64)
 
 
 def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator,
@@ -235,15 +239,17 @@ def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator,
 
     # prune in reverse insertion order; keep the set hitting.  A pick with
     # an edge it alone hits stays, as hit counts only fall, so only the
-    # others are tried one by one (on grouped edge ids: Bt's rows)
+    # others are tried one by one (on hit counts moved to edge ids)
     g = h.grouped_incidence
     x = np.zeros(n)
     x[selected] = 1.0
-    hit = g.b @ x
-    spare = (g.bt @ (hit == 1.0).astype(np.float64))[selected] == 0.0
+    grouped_hit = g.b @ x
+    spare = (g.bt @ (grouped_hit == 1.0).astype(np.float64))[selected] == 0.0
+    hit = np.empty(m)
+    hit[g.order] = grouped_hit
     keep = np.ones(len(selected), dtype=bool)
     for i in np.flatnonzero(spare)[::-1].tolist():
-        incident = g.bt.indices[node_ptr[selected[i]] : node_ptr[selected[i] + 1]]
+        incident = node_edges[node_ptr[selected[i]] : node_ptr[selected[i] + 1]]
         if hit[incident].min() >= 2.0:
             hit[incident] -= 1.0
             keep[i] = False
@@ -261,7 +267,7 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     its number of picks, not with the number of edges: it scans the
     order in blocks and picks in batches that give the one-edge-at-a-time
     result (see `_greedy_minimal_hitting_set`), on node -> edge lists
-    built once per call.  The ranking lists set members by
+    built once per call (`_node_edges`).  The ranking lists set members by
     number of edges they hit, descending, then the remaining nodes by
     degree, descending; all ties break by ascending node index.
     """

@@ -96,7 +96,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "(hypercp.solver); borgatti-everett: relative 2-norm change per step (default 1e-8)",
     )
     parser.add_argument("--max-iter", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the random start of hypernsm, graphnsm and borgatti-everett, "
+        "and the umhs restarts (default 0)",
+    )
     parser.add_argument("--restarts", type=int, default=5, help="umhs random restarts (default 5)")
 
 

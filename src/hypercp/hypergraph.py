@@ -10,12 +10,12 @@ object is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`), and every caller reads it directly.  Its one
-sparse form, built on first use and cached, is a pair of `scipy.sparse`
-CSR matrices (`GroupedIncidence`): the 0/1 incidence matrix B with its
-edges grouped by size, and its transpose.  The solver's kernel, the
-clique expansion and UMHS multiply by it, and `degrees` counts its rows.
-scipy itself is imported only then, so code that never needs B never
-loads it.
+sparse form, built on first use and cached, is the 0/1 incidence matrix
+B as a `scipy.sparse` CSR matrix with its edges grouped by size
+(`GroupedIncidence`); its transpose is a view of B's own arrays, so a
+product with it scatters over B's rows.  The solver's kernel and UMHS
+multiply by them.  scipy itself is imported only then, so code that
+never needs B never loads it.
 
 Outside node ids, score vectors, integer settings (counts and seeds) and
 exponents have one check each: `node_ids`, `score_vector`, `int_setting`,
@@ -138,29 +138,20 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
     return order, np.diff(group, prepend=-1) != 0
 
 
-def _read_only(a: sp.csr_matrix) -> sp.csr_matrix:
-    for arr in (a.data, a.indices, a.indptr):
-        arr.flags.writeable = False
-    return a
-
-
 class GroupedIncidence(NamedTuple):
     """The incidence matrix B with its edges grouped by size.
 
     order : the edge ids sorted by size, stably: each size's edges stay
         in ascending id order.
     b : B with its rows taken in `order` (m x n, CSR): row k is edge order[k].
-    bt : B transposed (n x m, CSR) with edge order[k] renumbered k.  Row
-        i lists node i's edges in ascending (canonical) id order, so a
-        product with it adds the same terms in the same order as the
-        canonical transpose does: the solver's kernel and the clique
-        adjacency both rely on that.  Its rows are therefore not sorted
-        by column, and must stay so: sorted, the sums would change bits.
+    bt : b.T, the CSC view of b's own arrays (n x m): a product with it
+        scatters each grouped edge's term onto its members, so node sums
+        add their terms in grouped edge order.
     """
 
     order: np.ndarray
     b: sp.csr_matrix
-    bt: sp.csr_matrix
+    bt: sp.csc_matrix
 
 
 class Hypergraph:
@@ -183,10 +174,9 @@ class Hypergraph:
 
     Edge e is ``members[offsets[e]:offsets[e+1]]`` with weight
     ``weights[e]``; these read-only arrays are the whole incidence.
-    `grouped_incidence` (B with its edges grouped by size, and its
-    transpose) is the one sparse form: read-only `scipy.sparse` CSR
-    matrices built from them on first access, which is also when scipy
-    is first imported.
+    `grouped_incidence` (B with its edges grouped by size) is the one
+    sparse form: a read-only `scipy.sparse` CSR matrix built from them
+    on first access, which is also when scipy is first imported.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]],
@@ -282,10 +272,12 @@ class Hypergraph:
         """Per-edge node counts |e|."""
         return np.diff(self.offsets)
 
-    @property
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
-        """Per-node count of incident edges (a fresh int64 array)."""
-        return np.diff(self.grouped_incidence.bt.indptr).astype(np.int64)
+        """Per-node count of incident edges (int64, read-only, cached)."""
+        deg = np.bincount(self.members, minlength=self.n)
+        deg.flags.writeable = False
+        return deg
 
     def degree_sum(self) -> int:
         """Total incidence count: sum of |e| over all edges.
@@ -297,28 +289,23 @@ class Hypergraph:
 
     @functools.cached_property
     def grouped_incidence(self) -> GroupedIncidence:
-        """B with its edges grouped by size, and its transpose (see
-        `GroupedIncidence`); read-only, sharing one all-ones data array.
-        The solver's kernel (see `hypercp.solver`) and the clique
-        expansion multiply by these."""
+        """B with its edges grouped by size, and its transpose as a view
+        (see `GroupedIncidence`); read-only.  The solver's kernel (see
+        `hypercp.solver`) and UMHS multiply by these."""
         import scipy.sparse as sp
 
         m, n, sizes = self.m, self.n, self.sizes
         # a stable sort; on the smallest dtype that holds the sizes, numpy radix-sorts
         order = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))), kind="stable")
-        ones = np.ones(self.members.size)
-        ones.flags.writeable = False
-        # B in edge order, only to be permuted and transposed: 1-byte data
-        canonical = sp.csr_matrix((ones.astype(bool), self.members, self.offsets), shape=(m, n))
+        # B in edge order, only to be permuted: 1-byte data
+        canonical = sp.csr_matrix((np.ones(self.members.size, dtype=bool), self.members, self.offsets),
+                                  shape=(m, n))
         rows = canonical[order]
-        b = sp.csr_matrix((ones, rows.indices, rows.indptr), shape=(m, n))
-        # the canonical transpose (each node's edges ascending), its edge ids renumbered
-        t = canonical.T.tocsr()
-        rank = np.empty(m, dtype=t.indices.dtype)
-        rank[order] = np.arange(m)
-        bt = sp.csr_matrix((ones, rank[t.indices], t.indptr), shape=(n, m))
-        order.flags.writeable = False
-        return GroupedIncidence(order, _read_only(b), _read_only(bt))
+        b = sp.csr_matrix((np.ones(rows.nnz), rows.indices, rows.indptr), shape=(m, n))
+        for a in (order, b.data, b.indices, b.indptr):
+            a.flags.writeable = False
+        # the view b.T is made once here: building it takes about 10 us, too much for every map
+        return GroupedIncidence(order, b, b.T)
 
     def label_of(self, node: int) -> str:
         """External label of a node (its index as a string by default)."""

@@ -49,9 +49,10 @@ members; on edges of mixed sizes that loop's length changes from edge
 to edge, grouped it repeats over long runs, and the product took under
 half the time on edges of sizes 3-7 (n = 5e3 to 1e5).  So the
 kernel's per-edge values (the sums e, xi, the rescued low edges) are in
-grouped order, and xi is permuted once per call.  B^T keeps each node's
-edges in ascending id order, so every node sum adds the same terms in
-the same order as with B in edge order: the results are bit-identical.
+grouped order, and xi is permuted once per call.  B^T is B's own arrays
+read as columns, so B^T t scatters each edge's term onto its members and
+every node sum adds its terms in grouped edge order: its last bits can
+differ from a sum in edge id order, and no second matrix is stored.
 
 With q around 10, raw powers of x under/overflow readily.  In logs no
 score underflows during a solve, and the one global shift keeps every
@@ -102,6 +103,7 @@ log = logging.getLogger(__name__)
 
 ANDERSON_MEMORY = 5  # differences kept by hypernsm's Anderson acceleration
 PRECONDITION_STEP = 1e-2  # Thompson step below which hypernsm preconditions Anderson's map
+STALL = 50  # maps without a new lowest step after which hypernsm drops P, then stops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -456,7 +458,13 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     best point's T step, as for an extrapolation.  The stop rule,
     residual_trace, the best point, cert_bound and the returned T x stay
     on T's step: the bound is about T's contraction and T x, and P's
-    step (up to 1/(1-c) times T's) bounds neither.
+    step (up to 1/(1-c) times T's) bounds neither.  P can stall a solve
+    that T with Anderson alone would finish: while P is on, `STALL` maps
+    without a new lowest T step drop P for the rest of the solve, and the
+    loop restarts from the lowest step's T image with a cleared memory,
+    as after no progress.  Another `STALL` such maps end the solve,
+    flagged, with that lowest step's T x and bound.  Without P a stall
+    runs on: ended there, more solves stopped unconverged.
 
     The scores are exp(u), taken once at the end.  A non-isolated score
     below the float range underflows to 0 there ("underflowed"): that
@@ -503,7 +511,9 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     plain = True  # u is not an extrapolation, so it is accepted whatever its step
     hold = 0  # plain steps still to take before extrapolating again
     rho = None  # the preconditioner's B^T(t / s) / v on the active nodes, once switched on
+    dropped = False  # P stalled and is off for the rest of the solve
     preconditioned = 0
+    lowest_r, lowest_g, stalled = math.inf, u, 0  # the lowest step, its T image, maps since
 
     steps: list[float] = []
     converged = False
@@ -512,7 +522,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         # an extrapolation or a P step may leave the kernel's range; its map is then dropped
         with np.errstate(all=None if exact else "ignore"):
             g, z, low, fresh = _log_gradient_terms(
-                h, xi_vec, u, q, want_rho=rho is None and best_r < PRECONDITION_STEP
+                h, xi_vec, u, q, want_rho=rho is None and not dropped and best_r < PRECONDITION_STEP
             )
             g = _log_step(g, p)
         f = g[sel] - u[sel]
@@ -524,6 +534,18 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         if bound * r <= cfg.tol and c * r + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
             best_r, best_g, converged = r, g, True
             break
+        if r < lowest_r:
+            lowest_r, lowest_g, stalled = r, g, 0
+        elif (stalled := stalled + 1) >= STALL and (rho is not None or dropped):
+            # stalled: with P on, drop it and restart plain from the lowest
+            # step's T image; with P already dropped, stop there, unconverged
+            if dropped:
+                best_r, best_g = lowest_r, lowest_g
+                break
+            rho, dropped, stalled = None, True, 0
+            u, exact, plain, hold = lowest_g, True, True, ANDERSON_MEMORY
+            accel.clear()
+            continue
         # a P step is accepted whatever its step, but not a non-finite map
         if plain and (exact or r < math.inf) or r < best_r:
             best_r, best_g = r, g

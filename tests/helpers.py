@@ -292,7 +292,8 @@ def _reference_edge_power_sums(
 
 def _reference_edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
     """B^T (xi * e^(1/q - 1)) for log scores w <= 0 and xi in grouped
-    edge order, where e are the edge q-power sums of exp(w); an edge
+    edge order, where e are the edge q-power sums of exp(w), taken as the
+    kernel takes it: a scatter over B's grouped rows; an edge
     rescaled by `_edge_power_sums` has its shift folded back in as
     exp((1 - q) r_e), except that a term that is 0 before it (xi = 0)
     or on an edge of zeros (r_e = -inf) is 0."""

@@ -23,6 +23,8 @@ from hypercp import (
     xi_vector,
 )
 
+from hypercp.baselines import _node_edges
+from hypercp.hypergraph import row_indices
 from hypercp.solver import _edge_kernel
 
 from helpers import canonical_b, canonical_incidence, edge_tuples, node_edges, random_hypergraph
@@ -167,10 +169,9 @@ def test_incidence_transpose_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         h = random_hypergraph(rng, 20, 30, cover_all=False)
-        # the stored node -> edge rows must be exactly the transpose of edge -> node
-        order, _, bt = h.grouped_incidence
-        from_bt = [order[bt.indices[bt.indptr[i] : bt.indptr[i + 1]]].tolist() for i in range(h.n)]
-        assert from_bt == node_edges(h)
+        # UMHS's node -> edge rows must be exactly the transpose of edge -> node
+        ptr, ids = _node_edges(h)
+        assert [ids[ptr[i] : ptr[i + 1]].tolist() for i in range(h.n)] == node_edges(h)
 
 
 def test_degree_identities():
@@ -199,6 +200,8 @@ def test_immutability_of_arrays():
         h.weights[0] = 5.0
     with pytest.raises(ValueError):
         h.members[0] = 2
+    with pytest.raises(ValueError):
+        h.degrees[0] = 3
     order, b, bt = h.grouped_incidence
     with pytest.raises(ValueError):
         order[0] = 1
@@ -206,7 +209,10 @@ def test_immutability_of_arrays():
         for a in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 a[0] = 2
-    assert np.shares_memory(b.data, bt.data)  # one all-ones array
+    # bt is b's transpose, a view of b's own three arrays
+    assert np.array_equal(bt.toarray(), b.toarray().T)
+    for view, own in ((bt.data, b.data), (bt.indices, b.indices), (bt.indptr, b.indptr)):
+        assert np.shares_memory(view, own)
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,30 +249,36 @@ def test_incidence_matrices_match_members(case):
     assert keys == sorted(keys)
     assert b.shape == (h.m, n) and bt.shape == (n, h.m)
     assert np.array_equal(b.toarray(), dense[order])
+    # bt is b's transpose, a view of b's own arrays (an empty array shares no memory)
     assert np.array_equal(bt.toarray(), b.toarray().T)
-    for i in range(n):
-        want = [e for e, members in enumerate(tuples) if i in members]
-        row = bt.indices[bt.indptr[i] : bt.indptr[i + 1]]
-        assert order[row].tolist() == want  # canonical ids, ascending
+    shared = ((bt.data, b.data), (bt.indices, b.indices)) if h.m else ()
+    for view, own in (*shared, (bt.indptr, b.indptr)):
+        assert np.shares_memory(view, own)
+    assert h.degrees.dtype == np.int64
     assert h.degrees.tolist() == dense.sum(axis=0).astype(int).tolist()
-    for a in (order, *(x for mat in (b, bt) for x in (mat.data, mat.indices, mat.indptr))):
+    for a in (order, h.degrees, *(x for mat in (b, bt) for x in (mat.data, mat.indices, mat.indptr))):
         assert not a.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
 @given(edge_lists(), st.integers(0, 2**32 - 1), st.sampled_from([2.0, 10.0]))
 def test_grouped_kernel_matches_canonical_product_bits(case, seed, q):
-    # grouping reorders only the edge sums; each node still adds its
-    # edges' terms in ascending id order, so no bit moves
+    # grouping reorders the edge sums, not the members within an edge, so
+    # they keep the canonical product's bits; each node adds its edges'
+    # terms in grouped edge order, as a scatter over the grouped edges does
     n, edges, weights = case
     h = Hypergraph(n, edges, weights=weights)
     x = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
     w = np.log(x / x.max())
     b = canonical_b(h)
+    order = h.grouped_incidence.order
+    targets = h.members[row_indices(h.offsets, order)]
     for rule in XiRule:
         xi = xi_vector(h, rule)
-        want = b.T @ (xi * (b @ np.exp(q * w)) ** (1.0 / q - 1.0))
-        got = _edge_kernel(h, xi[h.grouped_incidence.order], w, q)
+        t = (xi * (b @ np.exp(q * w)) ** (1.0 / q - 1.0))[order]
+        want = np.zeros(n)
+        np.add.at(want, targets, np.repeat(t, h.sizes[order]))
+        got = _edge_kernel(h, xi[order], w, q)
         assert got.tobytes() == want.tobytes()
 
 

@@ -653,6 +653,24 @@ class TestSolver:
         assert np.sqrt(np.sum(weights * log_err**2)) <= res.cert_bound
         assert np.max(np.abs(log_err)) <= 5.0 * res.cert_bound
 
+    def test_stalled_preconditioned_solve_recovers(self):
+        # the preconditioned map stalled on these two until max_iter, with
+        # max log errors of 7.2 and 331; T with Anderson alone converged
+        # in 82 and 119 maps.  Dropping P after STALL maps without a new
+        # lowest step lets them converge
+        rule = XiRule.WEIGHTED_RECIPROCAL
+        for seed in (85, 237):
+            h = random_hypergraph(np.random.default_rng(seed), 8, 10, weighted=True)
+            res = hypernsm(h, SolverConfig(p=10.1, q=10.0, xi=rule))
+            assert res.converged
+            err = np.max(np.abs(np.log(res.scores / longdouble_fixed_point(h, rule, 10.1, 10.0))))
+            assert err <= 5.0 * res.cert_bound
+        # a step stuck just under the rounding floor, which neither stop
+        # rule catches, ends STALL maps after P is dropped
+        h = random_hypergraph(np.random.default_rng(51), 8, 10, weighted=True)
+        res = hypernsm(h, SolverConfig(p=11.0, q=10.0, xi=rule, tol=1e-15))
+        assert res.iterations <= 200
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
