@@ -239,21 +239,19 @@ def _greedy_minimal_hitting_set(h: Hypergraph, rng: np.random.Generator,
 
     # prune in reverse insertion order; keep the set hitting.  A pick with
     # an edge it alone hits stays, as hit counts only fall, so only the
-    # others are tried one by one (on hit counts moved to edge ids)
-    g = h.grouped_incidence
-    x = np.zeros(n)
-    x[selected] = 1.0
-    grouped_hit = g.b @ x
-    spare = (g.bt @ (grouped_hit == 1.0).astype(np.float64))[selected] == 0.0
-    hit = np.empty(m)
-    hit[g.order] = grouped_hit
-    keep = np.ones(len(selected), dtype=bool)
+    # others are tried one by one.  Picks are distinct, each with an edge
+    picks = np.array(selected, dtype=np.int64)
+    rows = _rows(node_ptr, node_edges, picks)
+    hit = np.bincount(rows, minlength=m)
+    degrees = node_ptr[picks + 1] - node_ptr[picks]
+    spare = np.minimum.reduceat(hit[rows], np.cumsum(degrees) - degrees) >= 2
+    keep = np.ones(picks.size, dtype=bool)
     for i in np.flatnonzero(spare)[::-1].tolist():
-        incident = node_edges[node_ptr[selected[i]] : node_ptr[selected[i] + 1]]
-        if hit[incident].min() >= 2.0:
-            hit[incident] -= 1.0
+        incident = node_edges[node_ptr[picks[i]] : node_ptr[picks[i] + 1]]
+        if hit[incident].min() >= 2:
+            hit[incident] -= 1
             keep[i] = False
-    return np.array(selected, dtype=np.int64)[keep].tolist()
+    return picks[keep].tolist()
 
 
 def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
@@ -266,10 +264,10 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     (ties to the earliest restart).  A restart's Python work grows with
     its number of picks, not with the number of edges: it scans the
     order in blocks and picks in batches that give the one-edge-at-a-time
-    result (see `_greedy_minimal_hitting_set`), on node -> edge lists
-    built once per call (`_node_edges`).  The ranking lists set members by
-    number of edges they hit, descending, then the remaining nodes by
-    degree, descending; all ties break by ascending node index.
+    result (see `_greedy_minimal_hitting_set`); it picks and prunes on
+    node -> edge lists built once per call (`_node_edges`).  The ranking
+    lists set members by number of edges they hit, descending, then the
+    other nodes by degree, descending; all ties break by ascending index.
     """
     int_setting("restarts", restarts, 1)
     int_setting("seed", seed, 0)

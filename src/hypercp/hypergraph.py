@@ -13,9 +13,9 @@ The only stored incidence is the edge -> node CSR triple (`offsets`,
 sparse form, built on first use and cached, is the 0/1 incidence matrix
 B as a `scipy.sparse` CSR matrix with its edges grouped by size
 (`GroupedIncidence`); its transpose is a view of B's own arrays, so a
-product with it scatters over B's rows.  The solver's kernel and UMHS
-multiply by them.  scipy itself is imported only then, so code that
-never needs B never loads it.
+product with it scatters over B's rows.  Only the solver's kernel
+multiplies by them; the baselines work on the CSR triple.  scipy itself
+is imported only then, so code that never needs B never loads it.
 
 Outside node ids, score vectors, integer settings (counts and seeds) and
 exponents have one check each: `node_ids`, `score_vector`, `int_setting`,
@@ -139,7 +139,7 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
 
 
 class GroupedIncidence(NamedTuple):
-    """The incidence matrix B with its edges grouped by size.
+    """The incidence matrix B with its edges grouped by size, for the solver's kernel.
 
     order : the edge ids sorted by size, stably: each size's edges stay
         in ascending id order.
@@ -290,8 +290,8 @@ class Hypergraph:
     @functools.cached_property
     def grouped_incidence(self) -> GroupedIncidence:
         """B with its edges grouped by size, and its transpose as a view
-        (see `GroupedIncidence`); read-only.  The solver's kernel (see
-        `hypercp.solver`) and UMHS multiply by these."""
+        (see `GroupedIncidence`); read-only.  Only the solver's kernel
+        (see `hypercp.solver`) multiplies by these."""
         import scipy.sparse as sp
 
         m, n, sizes = self.m, self.n, self.sizes

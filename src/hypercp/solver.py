@@ -269,26 +269,19 @@ def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> 
     return h.grouped_incidence.bt @ _edge_terms(h, xi_vec, w, q)[2]
 
 
-def _log_gradient(h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float) -> np.ndarray:
-    """Log of the objective's gradient at exp(u).
-
-    Entry i is (q-1) * w_i + log v_i, with w = u - max(u) and v the
-    kernel output: the gradient does not change when x is scaled.
-    Isolated nodes (u = -inf, v = 0) map to -inf.
-    """
-    return _log_gradient_terms(h, xi_vec, u, q)[0]
-
-
 def _log_gradient_terms(
     h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float, want_rho: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(`_log_gradient`, z, low, rho): the log gradient at exp(u) and what
-    `hypernsm`'s preconditioner reads from its kernel.  z = exp(q w) and
-    low are `_edge_power_sums`'.  rho = B^T(t / s) / v, t the edge terms,
-    s the edge sums and v = B^T t, costs one more B^T product and is
-    formed only when want_rho and no edge is rescaled (else None);
-    z * rho is node i's share a_i of its edges' q-norms.  rho is NaN on
-    inactive nodes (v = 0) and may overflow where an edge sum is tiny."""
+    """(log gradient, z, low, rho) at exp(u).  Entry i of the log of the
+    objective's gradient is (q-1) * w_i + log v_i, w = u - max(u) and v
+    the kernel output: it does not change when x is scaled.  Isolated
+    nodes (u = -inf, v = 0) map to -inf.  `hypernsm`'s preconditioner
+    reads z = exp(q w) and low (`_edge_power_sums`'), and rho =
+    B^T(t / s) / v, t the edge terms, s the edge sums and v = B^T t:
+    z * rho is node i's share a_i of its edges' q-norms.  rho costs one
+    more B^T product and is formed only when want_rho and no edge is
+    rescaled (else None).  It is NaN on inactive nodes (v = 0) and may
+    overflow where an edge sum is tiny."""
     w = u - u.max()
     z, s, t, low = _edge_terms(h, xi_vec, w, q, keep_sums=want_rho)
     bt = h.grouped_incidence.bt
@@ -303,7 +296,7 @@ def _log_gradient_terms(
 def _log_step(g: np.ndarray, p: float) -> np.ndarray:
     """log T x from the log gradient g, in place: the 1/(p-1) power, then
     the p*-normalization as a shift that gives T x unit p-norm.  g is
-    overwritten, so callers hand over a fresh `_log_gradient`."""
+    overwritten, so callers hand over a fresh one."""
     np.divide(g, p - 1.0, out=g)
     g -= _log_pnorm(g, p)
     return g
@@ -323,14 +316,14 @@ def _in_range(a: np.ndarray) -> np.ndarray:
 
 
 def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """`_log_gradient` at x >= 0, which must be positive on non-isolated
+    """The log gradient at x >= 0, which must be positive on non-isolated
     nodes and leave every kernel term in the float range."""
     exponent("q", q)
     x = score_vector(x, h.n)
     if np.any(x < 0.0) or np.any(x[h.degrees > 0] == 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_range(_log_gradient(h, _grouped_xi(h, xi), _log(x), q))
+        return _in_range(_log_gradient_terms(h, _grouped_xi(h, xi), _log(x), q)[0])
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
@@ -345,10 +338,12 @@ def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) 
     """One step T x: gradient, p*-normalization, 1/(p-1) power, as exp of
     the map in logs that `hypernsm` iterates.  Scale-invariant, with unit
     p-norm; iterated, it converges at the linear rate (q-1)/(p-1).
-    Requires finite p > q > 1, as `SolverConfig` does, and raises
-    ValueError where a kernel term overflows, as `objective_gradient` does.
-    """
+    Requires finite p > q > 1, as `SolverConfig` does.  Raises ValueError
+    where a kernel term overflows, as `objective_gradient` does, and on a
+    hypergraph with no edges (a 0 gradient), as `hypernsm` does."""
     exponents(p, q)
+    if h.m == 0:
+        raise ValueError("cannot map a hypergraph with no edges")
     g = _log_step(_map_log_gradient(h, xi, x, q), p)
     return np.exp(g, out=g)
 
@@ -366,22 +361,24 @@ class _Anderson:
     """Anderson acceleration (Walker & Ni 2011, memory m) of a fixed-point
     map u -> g: ring buffers of the last m differences of the residual
     f = g - u and of g, and the m x m Gram matrix of the f differences,
-    so one update costs O(m * size)."""
+    so one update costs O(m * size).  Until `need` differences are stored
+    (see `clear`), an update records its difference and solves nothing."""
 
     def __init__(self, memory: int, size: int) -> None:
         self.d_f = np.empty((memory, size))
         self.d_g = np.empty((memory, size))
         self.gram = np.empty((memory, memory))
-        self.clear()
+        self.clear(1)
 
-    def clear(self) -> None:
-        self.stored = 0
+    def clear(self, need: int) -> None:
+        """Forget every map; extrapolate again once `need` differences are stored."""
+        self.stored, self.need = 0, need
         self.f = self.g = None
 
     def update(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         """Record the latest map's image g and residual f; return the
-        extrapolated point, or None when there is no earlier map to
-        difference against.  f and g are kept, so they must not change."""
+        extrapolated point, or None while fewer than `need` differences
+        are stored.  f and g are kept, so they must not change."""
         f_prev, g_prev = self.f, self.g
         self.f, self.g = f, g
         if f_prev is None:
@@ -396,6 +393,8 @@ class _Anderson:
         row = d_f @ d_f[k]
         self.gram[k, :used] = row
         self.gram[:used, k] = row
+        if self.stored < self.need:
+            return None
         gamma = np.linalg.lstsq(self.gram[:used, :used], d_f @ f, rcond=None)[0]
         step = gamma @ self.d_g[:used]
         return np.subtract(g, step, out=step)
@@ -438,8 +437,9 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
 
     An extrapolated point is accepted.  If its Thompson step is not below
     the best so far, the loop takes the best point's plain step instead,
-    accepts it whatever its step, clears the memory and refills it with
-    plain steps before it extrapolates again; no map is spent twice.
+    accepts it whatever its step, and clears the memory, which Anderson
+    refills with `ANDERSON_MEMORY` plain steps before it solves and
+    extrapolates again: no map is spent twice, and no solve is dropped.
     Non-convergence within cfg.max_iter is flagged, not raised; the best
     point's T x and bound are returned, as they are when cfg.tol is below
     the map's rounding term and c * d_T(x, T x) within it.
@@ -509,7 +509,6 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     best_r, best_g = math.inf, u
     exact = True  # u is the start or a T step: its map reports floating-point errors
     plain = True  # u is not an extrapolation, so it is accepted whatever its step
-    hold = 0  # plain steps still to take before extrapolating again
     rho = None  # the preconditioner's B^T(t / s) / v on the active nodes, once switched on
     dropped = False  # P stalled and is off for the rest of the solve
     preconditioned = 0
@@ -543,8 +542,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
                 best_r, best_g = lowest_r, lowest_g
                 break
             rho, dropped, stalled = None, True, 0
-            u, exact, plain, hold = lowest_g, True, True, ANDERSON_MEMORY
-            accel.clear()
+            u, exact, plain = lowest_g, True, True
+            accel.clear(ANDERSON_MEMORY)
             continue
         # a P step is accepted whatever its step, but not a non-finite map
         if plain and (exact or r < math.inf) or r < best_r:
@@ -556,8 +555,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
                 if jacobi is not None:
                     (step, image), preconditioned = jacobi, preconditioned + 1
             extrapolated = accel.update(step, image[sel])
-            plain = extrapolated is None or hold > 0
-            hold = max(hold - 1, 0)
+            plain = extrapolated is None
             if plain:
                 u = image
             elif all_active:
@@ -573,8 +571,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         floor = map_rounding * np.ptp(best_g[sel])
         if floor > (1.0 - c) * cfg.tol and c * best_r <= floor:
             break
-        u, exact, plain, hold = best_g, True, True, ANDERSON_MEMORY
-        accel.clear()
+        u, exact, plain = best_g, True, True
+        accel.clear(ANDERSON_MEMORY)
 
     log.debug("hypernsm: %d maps, %d of them preconditioned", iterations, preconditioned)
     x = np.exp(best_g)
@@ -622,16 +620,20 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     finite where a huge xi overflows those of N(z).  N is evaluated with
     the gradient's edge kernel, so edges whose q-power sums underflow are
     rescaled exactly as in the iteration, and one whose kernel term
-    overflows raises ValueError, as in `objective_gradient`; the
-    independent oracles are in `tests/helpers.py`.  An edge whose scores
-    are all 0, as where `hypernsm`'s scores underflow, has an infinite
-    kernel term and raises ValueError too.
+    overflows raises ValueError, as in `objective_gradient`.  So do an
+    edge whose scores are all 0 (an infinite kernel term, as where
+    `hypernsm`'s scores underflow), a negative score and an eigenvalue
+    that is not positive.
     """
-    w = np.asarray(result.scores, dtype=np.float64)
+    w = score_vector(result.scores, h.n)
+    if np.any(w < 0.0):
+        raise ValueError("eigen_residual requires nonnegative scores")
     if np.any(h.grouped_incidence.b @ (w > 0.0) == 0.0):
         raise ValueError("eigen_residual needs a positive score on every edge: the kernel term "
                          "of an edge whose scores are all 0 is infinite")
     q, p, lam = cfg.q, cfg.p, result.eigenvalue
+    if not lam > 0.0:
+        raise ValueError(f"eigen_residual requires a positive eigenvalue, got {lam}")
     mx = np.max(w)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _in_range(_edge_kernel(h, _grouped_xi(h, cfg.xi), _log(w / mx), q))

@@ -248,8 +248,8 @@ def longdouble_map(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float, p: floa
 
 # The map in logs as `hypercp.solver` took it before it ran in place, kept
 # verbatim (bodies unchanged, names prefixed) as the bit-for-bit reference
-# for `solver._log_step(solver._log_gradient(...))`.  Every operation here
-# allocates its result.
+# for `solver._log_step(solver._log_gradient_terms(...)[0])`.  Every
+# operation here allocates its result.
 
 
 def _reference_log_pnorm(a: np.ndarray, p: float) -> float:

@@ -357,6 +357,12 @@ class TestUmhs:
             ref = umhs(h, restarts=restarts, seed=seed)
         assert (res.ranking, res.hitting_set) == (ref.ranking, ref.hitting_set)
 
+    def test_leaves_the_solver_layout_unbuilt(self):
+        # UMHS counts and prunes on its own node -> edge lists
+        h = random_hypergraph(np.random.default_rng(13), 14, 20)
+        umhs(h)
+        assert "grouped_incidence" not in vars(h)
+
     def test_restart_validation(self):
         h = Hypergraph(2, [[0, 1]])
         with pytest.raises(ValueError, match="restarts"):

@@ -7,8 +7,10 @@ from hypercp import (
     GeneratorConfig,
     Hypergraph,
     SolverConfig,
+    SolverResult,
     XiRule,
     edge_coreness,
+    eigen_residual,
     hypercycle,
     intersection_curve,
     iteration_map,
@@ -314,6 +316,8 @@ def test_outside_node_ids_rejected(entry, ids):
 SCORE_TAKERS = {
     "objective": lambda x: objective(H5, XiRule.RECIPROCAL, x, 10.0),
     "objective_gradient": lambda x: objective_gradient(H5, XiRule.RECIPROCAL, x, 10.0),
+    "iteration_map": lambda x: iteration_map(H5, XiRule.RECIPROCAL, x, 10.0, 11.0),
+    "eigen_residual": lambda x: eigen_residual(H5, SolverResult(x, 1.0, 1, True, []), SolverConfig()),
     "thompson_distance": lambda x: thompson_distance(x, np.ones(5)),
     "profile_curve": lambda x: profile_curve(H5, x),
     "intersection_curve": lambda x: intersection_curve(x, [0]),

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="overflows the float range"):
             fn(h, UNIT, np.array([1.0, 1e-40, 1e-40]), 10.0)
 
+    @pytest.mark.parametrize("scores, eigenvalue, match", [
+        ([1.0, -0.5, 1.0], 1.0, "nonnegative"),  # its log is NaN: read as a kernel overflow
+        ([1.0, 0.5, 1.0], 0.0, "positive eigenvalue"),  # returned NaN with a RuntimeWarning
+    ], ids=["negative-score", "eigenvalue-0"])
+    def test_eigen_residual_bad_result_rejected(self, scores, eigenvalue, match):
+        h = Hypergraph(3, [[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match=match):
+            eigen_residual(h, SolverResult(np.array(scores), eigenvalue, 1, True, []), SolverConfig())
+
+    def test_no_edges(self):
+        # the gradient of f = 0 is 0, and a 0 gradient has no p*-normalization:
+        # iteration_map returned [nan, nan, nan] with a RuntimeWarning
+        h = Hypergraph(3, [])
+        assert np.array_equal(objective_gradient(h, RECIP, np.ones(3), 10.0), np.zeros(3))
+        with pytest.raises(ValueError, match="no edges"):
+            iteration_map(h, RECIP, np.ones(3), 10.0, 11.0)
+
     def test_eigen_residual_edge_of_zeros_reported(self):
         # underflowed scores can leave an edge all 0: its kernel term is
         # infinite, which is not the overflow of a low but positive edge
@@ -337,7 +355,7 @@ class TestIterationMap:
         u[active] = np.where(sunk, -depth * 708.0 / q, 0.0) - rng.uniform(0.0, 3.0, k)
         with np.errstate(all="ignore"):
             want = reference_log_map(h, xi, u, q, p)
-            got = solver._log_step(solver._log_gradient(h, xi, u, q), p)
+            got = solver._log_step(solver._log_gradient_terms(h, xi, u, q)[0], p)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_map_at_path_fixed_point_matches_longdouble_map(self):
@@ -426,6 +444,22 @@ class TestSolver:
     def test_empty_hypergraph_rejected(self):
         with pytest.raises(ValueError, match="no edges"):
             hypernsm(Hypergraph(4, []), SolverConfig())
+
+    def test_anderson_solves_only_when_it_extrapolates(self):
+        # after a restart hypernsm takes ANDERSON_MEMORY plain steps; the
+        # extrapolations it used to form there were solved, then dropped
+        rng = np.random.default_rng(20)
+        accel = solver._Anderson(solver.ANDERSON_MEMORY, 6)
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            assert accel.update(rng.random(6), rng.random(6)) is None
+            assert accel.update(rng.random(6), rng.random(6)) is not None
+            assert lstsq.call_count == 1
+            accel.clear(solver.ANDERSON_MEMORY)
+            for _ in range(solver.ANDERSON_MEMORY):  # the first has no map to difference against
+                assert accel.update(rng.random(6), rng.random(6)) is None
+            assert lstsq.call_count == 1
+            assert accel.update(rng.random(6), rng.random(6)).shape == (6,)
+            assert lstsq.call_count == 2
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(16)
