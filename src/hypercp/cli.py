@@ -91,15 +91,16 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol", type=float, default=1e-8,
-        help="hypernsm and graphnsm: converged means cert_bound <= tol, cert_bound an estimate "
-        "of the max relative score error that a sparse solve can exceed by a small factor "
-        "(hypercp.solver); borgatti-everett: relative 2-norm change per step (default 1e-8)",
+        help="hypernsm and graphnsm: converged means cert_bound <= tol, cert_bound c/(1-c) times "
+        "the last Hilbert step plus rounding, c = (q-1)/(p-1): an estimate of the max relative "
+        "score error that a sparse solve can exceed by a small factor (hypercp.solver); "
+        "borgatti-everett: relative 2-norm change per step (default 1e-8)",
     )
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="seeds the random start of hypernsm, graphnsm and borgatti-everett, "
-        "and the umhs restarts (default 0)",
+        help="seeds the random start of borgatti-everett and the umhs restarts; hypernsm and "
+        "graphnsm start from the ones vector, so their scores do not depend on it (default 0)",
     )
     parser.add_argument("--restarts", type=int, default=5, help="umhs random restarts (default 5)")
 

@@ -13,14 +13,17 @@ the x^p-weighted inner product, spectrum in [0, c]).  The limit also
 solves a nonlinear eigenvector problem, whose residual (`eigen_residual`)
 measures how far a result is from a fixed point.
 
-`hypernsm` iterates u -> log T(e^u) and accelerates it (Anderson mixing
-on u).  It stops on c/(1-c) * d_T(x, T x), d_T the Thompson metric
-max_i |ln x_i - ln y_i|: the Banach bound on d_T(T x, x*) for a map that
-contracts d_T by c.  To first order it bounds the x^p-weighted RMS of
-ln(T x / x*), where the Jacobian contracts by c.  In d_T, the maximum
-relative error, the Jacobian's norm is 2c, so there the bound is an
-estimate that a solve on a sparse hypergraph can exceed by a small
-factor (tests/test_solver.py).
+`hypernsm` iterates u -> log T(e^u) from the ones vector and accelerates
+it (Anderson mixing on u).  It stops on c/(1-c) * d_H(x, T x), d_H the
+Hilbert step max_i - min_i of ln(T x / x)_i.  For x and T x of unit
+p-norm that log ratio changes sign, so d_H is at least the Thompson step
+d_T(x, T x) = max_i |ln x_i - ln (T x)_i|, and c/(1-c) * d_T is the
+Banach bound on d_T(T x, x*) for a map that contracts d_T by c.  To
+first order it bounds the x^p-weighted RMS of ln(T x / x*), where the
+Jacobian contracts by c.  In d_T, the maximum relative error, the
+Jacobian's norm is 2c, so there the bound is an estimate that a solve on
+a sparse hypergraph can exceed by a small factor (tests/test_solver.py).
+The path to the stop measures d_T (see `hypernsm`).
 
 Near the fixed point Anderson mixes a preconditioned map P, not T.  In
 u, T's Jacobian has the diagonal c (1 - a_i), a_i in [0, 1] node i's own
@@ -111,7 +114,9 @@ class SolverConfig:
     """Exponents, scaling rule and stopping parameters for the solver.
 
     Requires finite p > q > 1; anything else voids the convergence
-    guarantee and is rejected at construction.
+    guarantee and is rejected at construction.  seed seeds the random
+    start of the Borgatti-Everett baseline; `hypernsm` starts from the
+    ones vector and does not read it.
     """
 
     p: float = 11.0
@@ -146,8 +151,9 @@ class SolverResult:
     scores has unit p-norm over all n entries; entries are exactly 0 for
     isolated nodes and strictly positive for every node of degree >= 1,
     unless its score lies below the float range and underflowed to 0.
-    residual_trace holds the Thompson step d_T(x, T x) of every map, and
-    cert_bound the error bound of the returned scores (see `hypernsm`):
+    residual_trace holds the Hilbert step d_H(x, T x), max - min of
+    log(T x / x) over the active nodes, of every map, and cert_bound the
+    error bound of the returned scores (see `hypernsm`):
     None when a returned score underflowed to 0.  preconditioned_maps
     counts the maps whose preconditioned step `hypernsm` fed its Anderson
     mixing.  The linear Borgatti-Everett baseline returns unit 2-norm
@@ -424,16 +430,26 @@ def _jacobi_step(
 def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Compute the global core-score vector of a hypergraph.
 
-    Iterates u -> log T(exp(u)), T the fixed-point map, from a seeded
-    random positive start, with Anderson acceleration (Walker & Ni 2011,
-    memory `ANDERSON_MEMORY`) over the non-isolated nodes; isolated nodes
-    are pinned to score 0 (u = -inf).  cert_bound, the error bound of the
-    returned T x, is c/(1-c) * d_T(x, T x), c = cfg.contraction_factor,
-    plus how far rounding moves the computed map's fixed point: in the map
-    itself eps * (q-1) / (p-1) * max|log(x / max x)| / (1-c), and in
-    subnormal kernel values when xi spans about the float range.  The solve
-    stops once the first two terms are within cfg.tol; `converged` means
-    cert_bound <= cfg.tol.  iterations counts maps.
+    Iterates u -> log T(exp(u)), T the fixed-point map, with Anderson
+    acceleration (Walker & Ni 2011, memory `ANDERSON_MEMORY`) over the
+    non-isolated nodes; isolated nodes are pinned to score 0 (u = -inf).
+    The start is the ones vector on the active nodes, scaled to unit
+    p-norm; cfg.seed is not read.  The map reaches its one positive fixed
+    point from any positive start, and a seeded random start spent about
+    a fifth more maps damping per-node noise that decays only at the rate
+    c.  cert_bound, the error bound of the returned T x, is
+    c/(1-c) * d_H(x, T x), c = cfg.contraction_factor and d_H the Hilbert
+    step (see `hypercp.solver`), plus how far rounding moves the computed
+    map's fixed point: in the map itself
+    eps * (q-1) / (p-1) * max|log(x / max x)| / (1-c), and in subnormal
+    kernel values when xi spans about the float range.  The solve stops
+    once the first two terms are within cfg.tol; `converged` means
+    cert_bound <= cfg.tol.  iterations counts maps.  The path to the stop
+    measures T's Thompson step d_T (at most d_H): extrapolation acceptance,
+    the best and lowest steps, the stall count, the rounding-floor stop
+    and the switch to P below.  With d_T in the stop and bound, a solve's
+    error exceeded its bound; with d_H on the path too, so did that of a
+    solve that ended on a step of exactly 0 (tests/test_solver.py).
 
     An extrapolated point is accepted.  If its Thompson step is not below
     the best so far, the loop takes the best point's plain step instead,
@@ -457,7 +473,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     floating-point errors ignored and a non-finite one falls back to the
     best point's T step, as for an extrapolation.  The stop rule,
     residual_trace, the best point, cert_bound and the returned T x stay
-    on T's step: the bound is about T's contraction and T x, and P's
+    on T's steps: the bound is about T's contraction and T x, and P's
     step (up to 1/(1-c) times T's) bounds neither.  P can stall a solve
     that T with Anderson alone would finish: while P is on, `STALL` maps
     without a new lowest T step drop P for the rest of the solve, and the
@@ -497,22 +513,20 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     grouped = h.grouped_incidence
     active = grouped.bt @ (xi_vec * h.sizes[grouped.order] ** (1.0 / q - 1.0)) > 0.0
 
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(0.5, 1.5, size=h.n)
-    x[~active] = 0.0
-    u = _log(x)
+    u = np.where(active, 0.0, -np.inf)
     u -= _log_pnorm(u, p)
 
     accel = _Anderson(ANDERSON_MEMORY, int(np.count_nonzero(active)))
     all_active = bool(active.all())
     sel = slice(None) if all_active else active  # a view, no copy, when every node is active
-    best_r, best_g = math.inf, u
+    best_r, best_h, best_g = math.inf, math.inf, u
     exact = True  # u is the start or a T step: its map reports floating-point errors
     plain = True  # u is not an extrapolation, so it is accepted whatever its step
     rho = None  # the preconditioner's B^T(t / s) / v on the active nodes, once switched on
     dropped = False  # P stalled and is off for the rest of the solve
     preconditioned = 0
-    lowest_r, lowest_g, stalled = math.inf, u, 0  # the lowest step, its T image, maps since
+    # the lowest step (d_T, then d_H), its T image, and the maps since
+    lowest_r, lowest_h, lowest_g, stalled = math.inf, math.inf, u, 0
 
     steps: list[float] = []
     converged = False
@@ -525,21 +539,22 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             )
             g = _log_step(g, p)
         f = g[sel] - u[sel]
-        r = float(np.abs(f).max())
+        top, bottom = float(f.max()), float(f.min())
+        r, d_h = max(top, -bottom), top - bottom  # the Thompson and Hilbert steps
         if fresh is not None and r < math.inf:
             rho = fresh[sel]
-        steps.append(r)
+        steps.append(d_h)
         # stop once cert_bound's step and rounding terms (see below) are within tol
-        if bound * r <= cfg.tol and c * r + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
-            best_r, best_g, converged = r, g, True
+        if bound * d_h <= cfg.tol and c * d_h + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
+            best_h, best_g, converged = d_h, g, True
             break
         if r < lowest_r:
-            lowest_r, lowest_g, stalled = r, g, 0
+            lowest_r, lowest_h, lowest_g, stalled = r, d_h, g, 0
         elif (stalled := stalled + 1) >= STALL and (rho is not None or dropped):
             # stalled: with P on, drop it and restart plain from the lowest
             # step's T image; with P already dropped, stop there, unconverged
             if dropped:
-                best_r, best_g = lowest_r, lowest_g
+                best_h, best_g = lowest_h, lowest_g
                 break
             rho, dropped, stalled = None, True, 0
             u, exact, plain = lowest_g, True, True
@@ -547,7 +562,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             continue
         # a P step is accepted whatever its step, but not a non-finite map
         if plain and (exact or r < math.inf) or r < best_r:
-            best_r, best_g = r, g
+            best_r, best_h, best_g = r, d_h, g
             step, image = f, g
             if rho is not None and not low.size:
                 with np.errstate(all="ignore"):
@@ -594,7 +609,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
     rounding = map_rounding * float(np.ptp(best_g[sel]))
     slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
-    cert_bound = None if underflowed else (c * best_r + slack) / (1.0 - c)
+    cert_bound = None if underflowed else (c * best_h + slack) / (1.0 - c)
     lam = float(np.ldexp(np.exp(_log_pnorm((q - 1.0) * w + _log(v), cfg.p_conjugate)), xi_exp))
     return SolverResult(
         scores=x,
@@ -625,6 +640,8 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     `hypernsm`'s scores underflow), a negative score and an eigenvalue
     that is not positive.
     """
+    if h.m == 0:
+        raise ValueError("cannot take the eigen-residual of a hypergraph with no edges")
     w = score_vector(result.scores, h.n)
     if np.any(w < 0.0):
         raise ValueError("eigen_residual requires nonnegative scores")

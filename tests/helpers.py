@@ -365,10 +365,15 @@ def longdouble_fixed_point(
     raise AssertionError(f"longdouble oracle did not converge in {max_iter} steps")
 
 
-def plain_map_steps(h: Hypergraph, cfg: SolverConfig, max_maps: int = 400) -> list[float]:
-    """Thompson steps of the plain map `iteration_map` from the start that
-    `hypernsm` draws for cfg.seed, until c/(1-c) times the step, c the
-    contraction factor, is at most cfg.tol or max_maps maps are spent."""
+def plain_map_steps(
+    h: Hypergraph, cfg: SolverConfig, max_maps: int = 400
+) -> tuple[list[float], np.ndarray]:
+    """Thompson steps and last image of the plain map `iteration_map`,
+    iterated from a random start uniform on [0.5, 1.5] that cfg.seed
+    seeds, until c/(1-c) times the step, c the contraction factor, is at
+    most cfg.tol or max_maps maps are spent.  `hypernsm` starts from the
+    ones vector, so these are the distinct starts of the paper's claim
+    that the map converges to one optimum from any positive start."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
     active = h.degrees > 0
@@ -382,7 +387,7 @@ def plain_map_steps(h: Hypergraph, cfg: SolverConfig, max_maps: int = 400) -> li
         x = tx
         if c / (1.0 - c) * steps[-1] <= cfg.tol:
             break
-    return steps
+    return steps, x
 
 
 def naive_objective(h: Hypergraph, rule: XiRule, x: np.ndarray, q: float) -> float:

@@ -56,15 +56,15 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def convergence_runs():
-    """20 random hypergraphs (n=50, sizes 2-6) solved from 3 starts."""
+    """20 random hypergraphs (n=50, sizes 2-6), each solved by hypernsm
+    and by the plain map (steps and scores) from 3 seeded random starts."""
     runs = []
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
         h = random_hypergraph(rng, 50, 150, smin=2, smax=6)
-        results = [
-            hypernsm(h, SolverConfig(max_iter=400, seed=s)) for s in (0, 1, 2)
-        ]
-        runs.append((h, results))
+        res = hypernsm(h, SolverConfig(max_iter=400))
+        plain = [plain_map_steps(h, SolverConfig(seed=s), max_maps=400) for s in (0, 1, 2)]
+        runs.append((h, res, plain))
     return runs
 
 
@@ -107,11 +107,11 @@ def test_criterion_02_hypercycle_profile_shape():
 
 def test_criterion_03_linear_convergence(convergence_runs):
     # the paper's linear rate belongs to the plain map: drive iteration_map
-    # from the accelerated solve's start and certify 1e-8 with it
+    # from seeded random starts and certify 1e-8 with it
     worst_tail, worst_maps, certified, solves_converged = 0.0, 0, True, True
-    for h, results in convergence_runs:
-        solves_converged &= all(res.converged for res in results)
-        r = np.asarray(plain_map_steps(h, SolverConfig(), max_maps=400))
+    for h, res, plain in convergence_runs:
+        solves_converged &= res.converged
+        r = np.asarray(plain[0][0])
         certified &= 9.0 * r[-1] <= 1e-8
         worst_maps = max(worst_maps, r.size)
         ratios = r[1:] / r[:-1]
@@ -123,17 +123,20 @@ def test_criterion_03_linear_convergence(convergence_runs):
         ok,
         f"20 instances: the plain map {'certifies' if certified else 'fails to certify'} "
         f"1e-8 in <= {worst_maps} maps (limit 400), "
-        f"worst tail ratio {worst_tail:.4f} <= 0.95; all 60 accelerated solves converged",
+        f"worst tail ratio {worst_tail:.4f} <= 0.95; all 20 accelerated solves converged",
     )
 
 
 def test_criterion_04_global_uniqueness(convergence_runs):
+    # hypernsm starts from the ones vector; the paper's claim is that the
+    # map reaches the same optimum from any positive start
     worst = 0.0
-    for h, results in convergence_runs:
-        for other in results[1:]:
-            worst = max(worst, float(np.max(np.abs(other.scores - results[0].scores))))
+    for h, res, plain in convergence_runs:
+        for _, x in plain:
+            worst = max(worst, float(np.max(np.abs(x - res.scores))))
     ok = worst < 1e-6
-    report(4, ok, f"3 starts per instance agree entrywise within {worst:.2e} < 1e-6")
+    report(4, ok, f"the plain map from 3 random starts per instance agrees with hypernsm "
+                  f"entrywise within {worst:.2e} < 1e-6")
 
 
 def test_criterion_05_eigen_residual(convergence_runs):
@@ -142,7 +145,7 @@ def test_criterion_05_eigen_residual(convergence_runs):
     # extra decade of stopping tolerance at this instance size
     worst = 0.0
     cfg = SolverConfig(tol=1e-9)
-    for h, _ in convergence_runs:
+    for h, _, _ in convergence_runs:
         res = hypernsm(h, cfg)
         worst = max(worst, eigen_residual(h, res, cfg))
     ok = worst < 1e-6
