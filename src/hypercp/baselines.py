@@ -2,25 +2,22 @@
 
 Three baselines accompany the hypergraph solver: the graph variant of
 the nonlinear spectral method and the classic linear dominant-eigenvector
-score, both run on the weighted clique expansion, and a greedy
+score, both of the weighted clique expansion, and a greedy
 union-of-minimal-hitting-sets ranking.  A graph is a `Hypergraph` whose
 edges all have two nodes and is its own clique expansion.  The expansion
 replaces every hyperedge with a clique, quadratic in the edge size,
-hence the pair budget.
+hence the pair budget.  Borgatti-Everett applies the expansion's
+adjacency through the incidence, forms no pair and is not bound by it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, spans
 from .solver import SolverConfig, SolverResult, hypernsm
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "UmhsResult",
@@ -33,13 +30,12 @@ __all__ = [
 PAIR_BUDGET = 50_000_000  # most node pairs a clique expansion accumulates
 
 
-def _clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
-    """Symmetric clique-expansion adjacency with zero diagonal: entry (i, j)
-    is 2^-scale_exp times the total weight of the hyperedges containing
-    both nodes; the weights are scaled before they are summed, which is
-    exact and lets a caller keep the sums finite.  An edge of size s gives
-    s*(s-1)/2 pairs, so the cost is guarded by `PAIR_BUDGET`.
-    """
+def clique_expansion(h: Hypergraph) -> Hypergraph:
+    """Flatten a hypergraph to the 2-uniform hypergraph of its clique
+    expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
+    the total weight of the hyperedges containing both.  An edge of size
+    s gives s*(s-1)/2 pairs, so the cost is guarded by `PAIR_BUDGET`.
+    Raises ValueError when the pairs exceed it or a total overflows float64."""
     import scipy.sparse as sp
 
     sizes = h.sizes.astype(np.int64)
@@ -49,27 +45,13 @@ def _clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
             f"clique expansion needs {pair_count} pair accumulations, "
             f"over the budget of {PAIR_BUDGET}"
         )
-    # A = B^T (diag(w) B) minus its diagonal, B in edge order.  B^T stays the
+    # the pair weights of B^T (diag(w) B), B in edge order.  B^T stays the
     # untouched left operand, its rows listing each node's edges in ascending
     # id order: that fixes how each pair weight is summed ((B^T diag(w)) B
-    # moves bits).  Columns are sorted: the power iteration reads them in order.
+    # moves bits)
     b = sp.csr_matrix((np.ones(h.members.size), h.members, h.offsets), shape=(h.m, h.n))
-    w = np.repeat(np.ldexp(h.weights, -scale_exp), h.sizes)
-    a = b.T.tocsr() @ sp.csr_matrix((w, b.indices, b.indptr), shape=b.shape)
-    a.setdiag(0.0)
-    a.eliminate_zeros()
-    a.sort_indices()
-    return a
-
-
-def clique_expansion(h: Hypergraph) -> Hypergraph:
-    """Flatten a hypergraph to the 2-uniform hypergraph of its clique
-    expansion: one edge per pair {i, j} sharing a hyperedge, weighted by
-    the total weight of the hyperedges containing both.  Raises
-    ValueError when such a total overflows float64."""
-    import scipy.sparse as sp
-
-    pairs = sp.triu(_clique_adjacency(h), k=1).tocoo()
+    wb = sp.csr_matrix((np.repeat(h.weights, h.sizes), b.indices, b.indptr), shape=b.shape)
+    pairs = sp.triu(b.T.tocsr() @ wb, k=1).tocoo()
     if not np.all(np.isfinite(pairs.data)):
         raise ValueError("a pair weight of the clique expansion overflows float64")
     members = np.column_stack([pairs.row, pairs.col]).ravel()
@@ -91,24 +73,30 @@ def graph_nsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
 def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     """Dominant-eigenvector core scores of the clique expansion, by power iteration.
 
-    Purely linear: no entrywise powers.  Iterates on the adjacency plus
-    a positive diagonal shift, which leaves the dominant eigenvector of
-    a nonnegative symmetric matrix unchanged but guarantees convergence
-    when the spectrum is symmetric (bipartite expansions).  Of cfg it
-    reads the seed of the random start, max_iter and tol, a bound on the
-    relative 2-norm change of one step; p, q and xi are ignored.  Scores
-    are nonnegative with unit 2-norm and exactly 0 on isolated nodes;
+    Purely linear: no entrywise powers.  Multiplies by the expansion's
+    adjacency A = B^T W B - D (W the edge weights, D the weighted degrees)
+    through B (`Hypergraph.grouped_incidence`): no pair is formed and the
+    pair budget does not apply.  Iterates on A plus a positive diagonal
+    shift, which leaves the dominant eigenvector of a nonnegative
+    symmetric matrix unchanged but guarantees convergence when the
+    spectrum is symmetric (bipartite expansions).  Of cfg it reads the
+    seed of the random start, max_iter and tol, a bound on the relative
+    2-norm change of one step; p, q and xi are ignored.  Scores are
+    nonnegative with unit 2-norm and exactly 0 on isolated nodes;
     non-convergence is flagged.  The eigenvalue is inf when it exceeds
     the float range.  The result has an empty trace and no certified bound.
     """
     cfg = cfg or SolverConfig()
-    # weights scaled by the power of two that brings their max into
-    # [0.5, 1): exact, and pair sums, row sums and norms stay finite
-    a_exp = int(np.frexp(np.max(h.weights, initial=0.0))[1])
-    a = _clique_adjacency(h, scale_exp=a_exp)
-    if a.nnz == 0:
+    if h.m == 0:
         raise ValueError("graph has no edges")
-    shift = 0.5 * float(np.max(a.sum(axis=1)))
+    g = h.grouped_incidence
+    # weights scaled by the power of two that brings their max into
+    # [0.5, 1): exact, and degrees, row sums and norms stay finite
+    a_exp = int(np.frexp(np.max(h.weights))[1])
+    w = np.ldexp(h.weights, -a_exp)[g.order]
+    weighted_degrees = g.bt @ w
+    shift = 0.5 * float(np.max(g.bt @ (w * (h.sizes[g.order] - 1))))  # half A's largest row sum
+    diagonal = shift - weighted_degrees
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
@@ -119,7 +107,7 @@ def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverRe
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        y = a @ x + shift * x
+        y = g.bt @ (w * (g.b @ x)) + diagonal * x
         y /= np.linalg.norm(y)
         diff = float(np.linalg.norm(y - x) / np.linalg.norm(x))
         x = y
@@ -127,7 +115,7 @@ def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverRe
             converged = True
             break
     with np.errstate(over="ignore"):
-        lam = float(np.ldexp(x @ (a @ x), a_exp))
+        lam = float(np.ldexp(x @ (g.bt @ (w * (g.b @ x)) - weighted_degrees * x), a_exp))
     return SolverResult(x, lam, iterations, converged, residual_trace=[],
                         isolated_nodes=int(np.count_nonzero(isolated)))
 

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, edge_xi, exponent, int_setting, node_ids, spans
+from .hypergraph import Hypergraph, XiRule, edge_xi, exponent, int_setting, node_ids, spans, xi_rule
 from .solver import objective
 
 __all__ = [
@@ -59,6 +59,7 @@ class GeneratorConfig:
         if not (2 <= self.max_size <= self.n):
             raise ValueError(f"need 2 <= max_size <= n, got max_size={self.max_size}, n={self.n}")
         exponent("q_mu", self.q_mu)
+        xi_rule(self.xi)
         if self.planted_perm is not None:
             _ranks(self.planted_perm, self.n)
 

@@ -13,15 +13,16 @@ The only stored incidence is the edge -> node CSR triple (`offsets`,
 sparse form, built on first use and cached, is the 0/1 incidence matrix
 B as a `scipy.sparse` CSR matrix with its edges grouped by size
 (`GroupedIncidence`); its transpose is a view of B's own arrays, so a
-product with it scatters over B's rows.  Only the solver's kernel
-multiplies by them; the baselines work on the CSR triple.  scipy itself
-is imported only then, so code that never needs B never loads it.
+product with it scatters over B's rows.  The solver's kernel multiplies
+by them, and so does Borgatti-Everett: B^T W B - D is the clique
+expansion's adjacency, with no pair formed and no pair budget.  scipy
+itself is imported only then, so code that never needs B never loads it.
 
-Outside node ids, score vectors, integer settings (counts and seeds) and
-exponents have one check each: `node_ids`, `score_vector`, `int_setting`,
-and `exponents` (p and q together) or `exponent` (a lone q).  Edge
-members get the integer rule of `node_ids` and a vectorised range check
-that names the offending edge.
+Outside node ids, score vectors, integer settings, exponents and xi
+rules have one check each: `node_ids`, `score_vector`, `int_setting`,
+`exponents` (p and q together) or `exponent` (a lone q), and `xi_rule`.
+Edge members get the integer rule of `node_ids` and a vectorised range
+check that names the offending edge.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
 
 
 class GroupedIncidence(NamedTuple):
-    """The incidence matrix B with its edges grouped by size, for the solver's kernel.
+    """B with its edges grouped by size, for the solver's kernel and for
+    Borgatti-Everett's B^T W B - D, which forms no pair and has no pair budget.
 
     order : the edge ids sorted by size, stably: each size's edges stay
         in ascending id order.
@@ -290,8 +292,9 @@ class Hypergraph:
     @functools.cached_property
     def grouped_incidence(self) -> GroupedIncidence:
         """B with its edges grouped by size, and its transpose as a view
-        (see `GroupedIncidence`); read-only.  Only the solver's kernel
-        (see `hypercp.solver`) multiplies by these."""
+        (see `GroupedIncidence`); read-only.  The solver's kernel (see
+        `hypercp.solver`) multiplies by these, and so does Borgatti-Everett,
+        which applies the clique expansion's adjacency through them."""
         import scipy.sparse as sp
 
         m, n, sizes = self.m, self.n, self.sizes
@@ -326,15 +329,20 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={self.m})"
 
 
+def xi_rule(rule) -> None:
+    """Check a scaling rule: an `XiRule` member, else ValueError naming the value."""
+    if not isinstance(rule, XiRule):
+        raise ValueError(f"xi must be an XiRule, got {rule!r}")
+
+
 def edge_xi(sizes, weights, rule: XiRule):
     """The xi rule for edges of the given sizes and weights (arrays or scalars)."""
+    xi_rule(rule)
     if rule is XiRule.RECIPROCAL:
         return 1.0 / np.asarray(sizes, dtype=np.float64)
     if rule is XiRule.WEIGHTED_RECIPROCAL:
         return weights / np.asarray(sizes, dtype=np.float64)
-    if rule is XiRule.UNIT:
-        return np.array(weights, dtype=np.float64)
-    raise ValueError(f"unknown xi rule: {rule!r}")
+    return np.array(weights, dtype=np.float64)
 
 
 def xi_vector(h: Hypergraph, rule: XiRule) -> np.ndarray:

@@ -88,7 +88,8 @@ import math
 import numpy as np
 
 from .hypergraph import (
-    Hypergraph, XiRule, exponent, exponents, int_setting, row_indices, score_vector, xi_vector,
+    Hypergraph, XiRule, exponent, exponents, int_setting, row_indices, score_vector, xi_rule,
+    xi_vector,
 )
 
 __all__ = [
@@ -128,6 +129,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         exponents(self.p, self.q)
+        xi_rule(self.xi)
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         int_setting("max_iter", self.max_iter, 1)

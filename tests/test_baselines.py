@@ -45,16 +45,35 @@ def dense_clique_adjacency(h: Hypergraph) -> np.ndarray:
     return a
 
 
-def canonical_clique_adjacency(h: Hypergraph, scale_exp: int = 0) -> sp.csr_matrix:
-    """B^T diag(2^-scale_exp w) B with its diagonal dropped, B in canonical
-    edge order: each pair weight summed over its edges in ascending id
-    order, the columns of each row ascending."""
+def canonical_clique_adjacency(h: Hypergraph) -> sp.csr_matrix:
+    """B^T diag(w) B with its diagonal dropped, B in canonical edge order:
+    each pair weight summed over its edges in ascending id order, the
+    columns of each row ascending."""
     b = canonical_b(h)
-    a = (b.T @ sp.diags(np.ldexp(h.weights, -scale_exp)) @ b).tocsr()
+    a = (b.T @ sp.diags(h.weights) @ b).tocsr()
     a.setdiag(0.0)
     a.eliminate_zeros()
     assert a.has_sorted_indices
     return a
+
+
+def reference_power_iteration(h: Hypergraph, cfg: SolverConfig) -> tuple[np.ndarray, float]:
+    """Borgatti-Everett by power iteration on the dense clique adjacency
+    shifted by half its largest row sum, from the same seeded start and
+    with the same step-size stop: (scores, eigenvalue)."""
+    a = dense_clique_adjacency(h)
+    a += 0.5 * a.sum(axis=1).max() * np.eye(h.n)
+    x = np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=h.n)
+    x[h.degrees == 0] = 0.0
+    x /= np.linalg.norm(x)
+    for _ in range(cfg.max_iter):
+        y = a @ x
+        y /= np.linalg.norm(y)
+        step = np.linalg.norm(y - x)
+        x = y
+        if step < cfg.tol:
+            break
+    return x, float(x @ dense_clique_adjacency(h) @ x)
 
 
 class TestCliqueExpansion:
@@ -106,31 +125,25 @@ class TestCliqueExpansion:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 15), m=st.integers(1, 40))
     def test_matches_canonical_product_bits(self, seed, n, m):
-        # each pair weight must be summed over its edges in canonical order,
-        # and the rows' columns must ascend, for the expansion and the
-        # power iteration to keep every bit; lognormal weights spread
+        # each pair weight must be summed over its edges in canonical order
+        # for the expansion to keep every bit; lognormal weights spread
         # enough for a different order to round differently
         rng = np.random.default_rng(seed)
         edges = [rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
                  for _ in range(m)]
         h = Hypergraph(n, edges, weights=rng.lognormal(0.0, 2.0, size=m))
-        for scale_exp in (0, 5):
-            got = baselines._clique_adjacency(h, scale_exp)
-            want = canonical_clique_adjacency(h, scale_exp)
-            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                         (got.data, want.data)):
-                assert a.tobytes() == b.tobytes()
         pairs = sp.triu(canonical_clique_adjacency(h), k=1).tocoo()
         order = np.lexsort((pairs.col, pairs.row))
         g = clique_expansion(h)
         assert g.members.tolist() == np.column_stack([pairs.row, pairs.col])[order].ravel().tolist()
         assert g.weights.tobytes() == pairs.data[order].tobytes()
-        res = borgatti_everett(h)
-        with mock.patch.object(baselines, "_clique_adjacency", canonical_clique_adjacency):
-            ref = borgatti_everett(h)
-        assert res.iterations == ref.iterations
-        assert res.scores.tobytes() == ref.scores.tobytes()
-        assert np.float64(res.eigenvalue).tobytes() == np.float64(ref.eigenvalue).tobytes()
+        # Borgatti-Everett forms no pairs: it must match power iteration
+        # on the dense adjacency from the same start
+        cfg = SolverConfig(tol=1e-12)
+        res = borgatti_everett(h, cfg)
+        scores, eigenvalue = reference_power_iteration(h, cfg)
+        np.testing.assert_allclose(res.scores, scores, rtol=0, atol=1e-12)
+        assert res.eigenvalue == pytest.approx(eigenvalue, rel=1e-12)
 
     def test_keeps_labels(self):
         h = read_edge_list(io.StringIO("a b c # w=2\nb d\n"))
@@ -226,6 +239,31 @@ class TestBorgattiEverett:
         b = borgatti_everett(g2, SolverConfig(tol=1e-12, max_iter=20000))
         assert np.allclose(a.scores, b.scores, atol=1e-8)
         assert np.array_equal(np.argsort(a.scores), np.argsort(b.scores))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 15), m=st.integers(1, 40))
+    def test_same_scores_on_the_expansion(self, seed, n, m):
+        # the operator B^T W B - D iterated on h is the adjacency of h's
+        # clique expansion, which is its own expansion: the method is the
+        # expansion's, though it never forms the expansion
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, n, m, smax=min(n, 6), cover_all=False, weighted=True)
+        cfg = SolverConfig(tol=1e-12)
+        res = borgatti_everett(h, cfg)
+        ref = borgatti_everett(clique_expansion(h), cfg)
+        np.testing.assert_allclose(res.scores, ref.scores, rtol=0, atol=1e-12)
+        assert res.converged == ref.converged
+
+    def test_runs_beyond_pair_budget(self):
+        # the 10,001-clique of `test_pair_budget`: no pair is formed, so
+        # only the expansion's methods hit the budget
+        h = Hypergraph(10_001, [list(range(10_001))])
+        res = borgatti_everett(h)
+        assert res.converged and np.ptp(res.scores) <= 1e-9
+        assert res.eigenvalue == pytest.approx(1e4, rel=1e-12)
+        for expand in (clique_expansion, graph_nsm):
+            with pytest.raises(ValueError, match="budget"):
+                expand(h)
 
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [])

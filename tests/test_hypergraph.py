@@ -396,6 +396,23 @@ def test_bad_exponents_rejected(case):
         call()
 
 
+# Every config that takes a scaling rule, with a value that is not an
+# XiRule and the name its error gives back.
+BAD_XI_RULES = {
+    "SolverConfig": (lambda: SolverConfig(xi="weighted"), "'weighted'"),
+    "GeneratorConfig": (lambda: GeneratorConfig(n=5, max_size=3, xi="unit"), "'unit'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_XI_RULES)
+def test_bad_xi_rules_rejected(case):
+    # these constructed; hypernsm and sample raised only later, while
+    # graph_nsm and borgatti_everett ran with the value unread
+    call, value = BAD_XI_RULES[case]
+    with pytest.raises(ValueError, match=f"xi must be an XiRule, got {value}"):
+        call()
+
+
 def test_exponent_one_accepted_where_q_stands_alone():
     # q = 1 is the plain xi-weighted 1-norm, and q_mu = 1 a valid model
     x = np.arange(1.0, 6.0)
