@@ -79,12 +79,13 @@ def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverRe
     pair budget does not apply.  Iterates on A plus a positive diagonal
     shift, which leaves the dominant eigenvector of a nonnegative
     symmetric matrix unchanged but guarantees convergence when the
-    spectrum is symmetric (bipartite expansions).  Of cfg it reads the
-    seed of the random start, max_iter and tol, a bound on the relative
-    2-norm change of one step; p, q and xi are ignored.  Scores are
-    nonnegative with unit 2-norm and exactly 0 on isolated nodes;
-    non-convergence is flagged.  The eigenvalue is inf when it exceeds
-    the float range.  The result has an empty trace and no certified bound.
+    spectrum is symmetric (bipartite expansions).  Starts from the ones
+    vector on the non-isolated nodes, which that eigenvector meets
+    positively.  Of cfg it reads max_iter and tol, a bound on the
+    relative 2-norm change of one step; p, q, xi and seed are ignored
+    (see `SolverConfig`).  Scores are nonnegative, unit 2-norm, 0 on
+    isolated nodes; non-convergence is flagged.  The eigenvalue is inf
+    past the float range.  The result has no trace and no certified bound.
     """
     cfg = cfg or SolverConfig()
     if h.m == 0:
@@ -98,10 +99,8 @@ def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverRe
     shift = 0.5 * float(np.max(g.bt @ (w * (h.sizes[g.order] - 1))))  # half A's largest row sum
     diagonal = shift - weighted_degrees
 
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(0.5, 1.5, size=h.n)
     isolated = h.degrees == 0
-    x[isolated] = 0.0
+    x = np.where(isolated, 0.0, 1.0)
     x /= np.linalg.norm(x)
 
     converged = False

@@ -99,8 +99,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="seeds the random start of borgatti-everett and the umhs restarts; hypernsm and "
-        "graphnsm start from the ones vector, so their scores do not depend on it (default 0)",
+        help="seeds the umhs restarts; hypernsm, graphnsm and borgatti-everett start from the "
+        "ones vector, so their scores do not depend on it (default 0)",
     )
     parser.add_argument("--restarts", type=int, default=5, help="umhs random restarts (default 5)")
 
@@ -108,7 +108,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def _detect_scores(method: str, h: Hypergraph, args) -> tuple[dict, np.ndarray, int]:
     """Run one method; returns (json payload, scores, iteration count)."""
     cfg = SolverConfig(p=args.p, q=args.q, xi=XiRule(args.xi), tol=args.tol,
-                       max_iter=args.max_iter, seed=args.seed)
+                       max_iter=args.max_iter)
     if method == "umhs":
         res = umhs(h, restarts=args.restarts, seed=args.seed)
         scores = res.scores(h.n)

@@ -115,9 +115,9 @@ class SolverConfig:
     """Exponents, scaling rule and stopping parameters for the solver.
 
     Requires finite p > q > 1; anything else voids the convergence
-    guarantee and is rejected at construction.  seed seeds the random
-    start of the Borgatti-Everett baseline; `hypernsm` starts from the
-    ones vector and does not read it.
+    guarantee and is rejected at construction.  No method reads seed:
+    the spectral methods start from the ones vector.  It stays, checked,
+    for its callers: the benchmark's p-sweep and the tests' plain-map oracle.
     """
 
     p: float = 11.0
@@ -436,10 +436,10 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     acceleration (Walker & Ni 2011, memory `ANDERSON_MEMORY`) over the
     non-isolated nodes; isolated nodes are pinned to score 0 (u = -inf).
     The start is the ones vector on the active nodes, scaled to unit
-    p-norm; cfg.seed is not read.  The map reaches its one positive fixed
-    point from any positive start, and a seeded random start spent about
-    a fifth more maps damping per-node noise that decays only at the rate
-    c.  cert_bound, the error bound of the returned T x, is
+    p-norm; cfg.seed is not read (see `SolverConfig`).  The map reaches
+    its one positive fixed point from any positive start; a seeded
+    random start spent a fifth more maps damping per-node noise that
+    decays only at the rate c.  cert_bound, the error bound of T x, is
     c/(1-c) * d_H(x, T x), c = cfg.contraction_factor and d_H the Hilbert
     step (see `hypercp.solver`), plus how far rounding moves the computed
     map's fixed point: in the map itself

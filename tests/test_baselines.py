@@ -59,13 +59,12 @@ def canonical_clique_adjacency(h: Hypergraph) -> sp.csr_matrix:
 
 def reference_power_iteration(h: Hypergraph, cfg: SolverConfig) -> tuple[np.ndarray, float]:
     """Borgatti-Everett by power iteration on the dense clique adjacency
-    shifted by half its largest row sum, from the same seeded start and
-    with the same step-size stop: (scores, eigenvalue)."""
+    shifted by half its largest row sum, from the same start, the ones
+    vector on the non-isolated nodes, and with the same step-size stop:
+    (scores, eigenvalue)."""
     a = dense_clique_adjacency(h)
     a += 0.5 * a.sum(axis=1).max() * np.eye(h.n)
-    x = np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=h.n)
-    x[h.degrees == 0] = 0.0
-    x /= np.linalg.norm(x)
+    x = (h.degrees > 0) / np.sqrt(np.count_nonzero(h.degrees))
     for _ in range(cfg.max_iter):
         y = a @ x
         y /= np.linalg.norm(y)
@@ -264,6 +263,20 @@ class TestBorgattiEverett:
         for expand in (clique_expansion, graph_nsm):
             with pytest.raises(ValueError, match="budget"):
                 expand(h)
+
+    def test_start_reads_no_seed(self):
+        # two disjoint triangles: the dominant eigenvalue is repeated, so the
+        # start picks the answer within its eigenspace.  The ones vector lies
+        # in it, so every node scores alike, whatever the seed
+        twins = Hypergraph(6, [[0, 1, 2], [3, 4, 5]])
+        res = borgatti_everett(twins)
+        assert res.converged and np.all(res.scores == res.scores[0])
+        weighted = random_hypergraph(np.random.default_rng(8), 30, 60, weighted=True)
+        for h in (twins, weighted):
+            a = borgatti_everett(h, SolverConfig(seed=1))
+            b = borgatti_everett(h, SolverConfig(seed=2))
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.iterations == b.iterations and a.eigenvalue == b.eigenvalue
 
     def test_empty_graph_rejected(self):
         g = Hypergraph(3, [])

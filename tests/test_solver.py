@@ -737,7 +737,7 @@ class TestSolver:
         else:
             h = Hypergraph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], weights=[path_weight, 1, 1, 1, 1])
             rule = UNIT
-        cfg = SolverConfig(p=p, q=10.0, xi=rule, seed=seed % 1000)
+        cfg = SolverConfig(p=p, q=10.0, xi=rule)
         res = hypernsm(h, cfg)
         want = longdouble_fixed_point(h, rule, p, 10.0)
         log_err = np.log(res.scores / want)
