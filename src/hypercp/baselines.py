@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, spans
+from .hypergraph import Hypergraph, XiRule, int_setting, row_indices, spans, unit_scaled
 from .solver import SolverConfig, SolverResult, hypernsm
 
 __all__ = [
@@ -91,10 +91,7 @@ def borgatti_everett(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverRe
     if h.m == 0:
         raise ValueError("graph has no edges")
     g = h.grouped_incidence
-    # weights scaled by the power of two that brings their max into
-    # [0.5, 1): exact, and degrees, row sums and norms stay finite
-    a_exp = int(np.frexp(np.max(h.weights))[1])
-    w = np.ldexp(h.weights, -a_exp)[g.order]
+    w, a_exp = unit_scaled(h.weights[g.order])  # degrees, row sums and norms stay finite
     weighted_degrees = g.bt @ w
     shift = 0.5 * float(np.max(g.bt @ (w * (h.sizes[g.order] - 1))))  # half A's largest row sum
     diagonal = shift - weighted_degrees

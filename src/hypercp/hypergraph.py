@@ -208,9 +208,7 @@ class Hypergraph:
         return h
 
     def _canonicalize(self, n, sizes: np.ndarray, nodes: np.ndarray, weights, labels) -> None:
-        if not hasattr(type(n), "__index__") or n < 0:
-            raise ValueError(f"node count must be a nonnegative integer, got {n!r}")
-        n = operator.index(n)
+        n = int_setting("node count", n, 0)
         m = sizes.size
         w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
         if w.shape != sizes.shape:
@@ -245,6 +243,8 @@ class Hypergraph:
         self.members = distinct_nodes[row_indices(row_offsets, order[first])]
         # (bincount of nothing is int64, hence the cast)
         self.weights = np.bincount(np.cumsum(first) - 1, weights=w[order]).astype(np.float64)
+        if not np.isfinite(self.weights).all():
+            raise ValueError("merged weight of equal edges must be finite, got inf")
         for a in (self.offsets, self.members, self.weights):
             a.flags.writeable = False
 
@@ -348,3 +348,10 @@ def edge_xi(sizes, weights, rule: XiRule):
 def xi_vector(h: Hypergraph, rule: XiRule) -> np.ndarray:
     """Per-edge scaling values under `rule`; strictly positive."""
     return edge_xi(h.sizes, h.weights, rule)
+
+
+def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2^e, e), e the power of two that brings max(values) into
+    [0.5, 1), 0 for an empty array: exact but where a result is subnormal."""
+    e = int(np.frexp(np.max(values, initial=0.0))[1])
+    return np.ldexp(values, -e), e

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, XiRule, node_ids, score_vector, xi_vector
+from .hypergraph import Hypergraph, XiRule, node_ids, score_vector, unit_scaled, xi_vector
 
 __all__ = [
     "ProfileCurve",
@@ -82,7 +82,7 @@ def profile_curve(
     is a ratio of two cumulative sums and costs O(sum of edge sizes + n).
     """
     scores = score_vector(scores, h.n)
-    w = np.ones(h.m) if xi is None else xi_vector(h, xi)
+    w = np.ones(h.m) if xi is None else unit_scaled(xi_vector(h, xi))[0]  # sums stay finite
     position = np.empty(h.n, dtype=np.int64)
     position[rank_by_score(-scores)] = np.arange(h.n)  # ascending, ties by index
     at = position[h.members]

@@ -43,8 +43,10 @@ exp(q * w); with e = B z^q (the edge q-power sums of z),
     log T x      = (log gradient) / (p-1), shifted to give T x unit p-norm
     objective    = max(x) * sum over edges of xi * e^(1/q).
 
-`objective_gradient` and `iteration_map` return exp of the first two.
-Oracles that share none of this code live in `tests/helpers.py`.
+Every caller gives the kernel xi / 2^k (`_grouped_xi`): T is the same,
+no xi overflows, and values in xi's units scale back by 2^k.  So
+`objective_gradient` and `iteration_map` are exp of `hypernsm`'s first
+two, bit for bit.  Oracles sharing none of it are in `tests/helpers.py`.
 
 The kernel multiplies by `Hypergraph.grouped_incidence`, B with its
 edges grouped by size.  scipy's product B z loops over each edge's
@@ -88,8 +90,8 @@ import math
 import numpy as np
 
 from .hypergraph import (
-    Hypergraph, XiRule, exponent, exponents, int_setting, row_indices, score_vector, xi_rule,
-    xi_vector,
+    Hypergraph, XiRule, exponent, exponents, int_setting, row_indices, score_vector, unit_scaled,
+    xi_rule, xi_vector,
 )
 
 __all__ = [
@@ -229,9 +231,9 @@ def _edge_power_sums(
     return z, s, low, r
 
 
-def _grouped_xi(h: Hypergraph, rule: XiRule) -> np.ndarray:
-    """`xi_vector` in the grouped edge order that `_edge_kernel` takes."""
-    return xi_vector(h, rule)[h.grouped_incidence.order]
+def _grouped_xi(h: Hypergraph, rule: XiRule) -> tuple[np.ndarray, int]:
+    """(xi / 2^k, k): `xi_vector` by `unit_scaled`, in `_edge_kernel`'s grouped edge order."""
+    return unit_scaled(xi_vector(h, rule)[h.grouped_incidence.order])
 
 
 def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
@@ -246,7 +248,8 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     _, s, low, r = _edge_power_sums(h, _log(x / mx), q)
     norms = s ** (1.0 / q)
     norms[low] *= np.exp(r)
-    return mx * float(np.sum(_grouped_xi(h, xi) * norms))
+    xi_vec, xi_exp = _grouped_xi(h, xi)
+    return float(np.ldexp(mx * np.sum(xi_vec * norms), xi_exp))
 
 
 def _edge_terms(
@@ -323,36 +326,36 @@ def _in_range(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """The log gradient at x >= 0, which must be positive on non-isolated
-    nodes and leave every kernel term in the float range."""
+def _map_log_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> tuple[np.ndarray, int]:
+    """(g, k): `hypernsm`'s log gradient g at x >= 0, for xi / 2^k (`_grouped_xi`).
+    x must be positive on non-isolated nodes and keep every kernel term in range."""
     exponent("q", q)
     x = score_vector(x, h.n)
     if np.any(x < 0.0) or np.any(x[h.degrees > 0] == 0.0):
         raise ValueError("gradient map needs strictly positive entries on non-isolated nodes")
+    xi_vec, xi_exp = _grouped_xi(h, xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_range(_log_gradient_terms(h, _grouped_xi(h, xi), _log(x), q)[0])
+        return _in_range(_log_gradient_terms(h, xi_vec, _log(x), q)[0]), xi_exp
 
 
 def objective_gradient(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> np.ndarray:
-    """Gradient of the objective at x (0-homogeneous: isolated nodes map
-    to 0), as exp of the log gradient that `hypernsm` forms.  Raises
-    ValueError where a kernel term overflows (see `hypercp.solver`)."""
-    g = _map_log_gradient(h, xi, x, q)
-    return np.exp(g, out=g)
+    """Gradient of the objective at x (0-homogeneous: isolated nodes map to 0),
+    exp of `hypernsm`'s log gradient times 2^k, inf past the float range.
+    Raises ValueError where a kernel term overflows (see `hypercp.solver`)."""
+    g, xi_exp = _map_log_gradient(h, xi, x, q)
+    return np.ldexp(np.exp(g, out=g), xi_exp, out=g)
 
 
 def iteration_map(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float, p: float) -> np.ndarray:
-    """One step T x: gradient, p*-normalization, 1/(p-1) power, as exp of
-    the map in logs that `hypernsm` iterates.  Scale-invariant, with unit
-    p-norm; iterated, it converges at the linear rate (q-1)/(p-1).
-    Requires finite p > q > 1, as `SolverConfig` does.  Raises ValueError
-    where a kernel term overflows, as `objective_gradient` does, and on a
-    hypergraph with no edges (a 0 gradient), as `hypernsm` does."""
+    """One step T x: gradient, p*-normalization, 1/(p-1) power; exp of the
+    map in logs that `hypernsm` iterates, its bits at log x.  Scale-invariant,
+    unit p-norm, converging at the linear rate (q-1)/(p-1).  Requires finite
+    p > q > 1, as `SolverConfig` does.  Raises ValueError where a kernel term
+    overflows, as `objective_gradient` does, and with no edges (a 0 gradient)."""
     exponents(p, q)
     if h.m == 0:
         raise ValueError("cannot map a hypergraph with no edges")
-    g = _log_step(_map_log_gradient(h, xi, x, q), p)
+    g = _log_step(_map_log_gradient(h, xi, x, q)[0], p)
     return np.exp(g, out=g)
 
 
@@ -487,7 +490,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     The scores are exp(u), taken once at the end.  A non-isolated score
     below the float range underflows to 0 there ("underflowed"): that
     voids the certificate (cert_bound None, converged False, a logged
-    count), while the other scores keep their accuracy.
+    count), while the other scores keep their accuracy.  The eigenvalue
+    is scaled back by 2^k (see `hypercp.solver`): inf past the float range.
     """
     cfg = cfg or SolverConfig()
     if h.m == 0:
@@ -495,16 +499,9 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
 
     q, p = cfg.q, cfg.p
     c = cfg.contraction_factor
-    bound = c / (1.0 - c)
     # rounding (q-1) * w, w = u - max u <= 0, moves the map by up to this * max|w|
     map_rounding = np.finfo(np.float64).eps * (q - 1.0) / (p - 1.0)
-    # The fixed point does not change when xi is scaled.  Dividing xi by
-    # the power of two that brings its max into [0.5, 1) keeps a huge xi
-    # from overflowing the kernel; it rounds only a xi that it makes
-    # subnormal, and lam is scaled back.
-    xi_vec = _grouped_xi(h, cfg.xi)
-    xi_exp = int(np.frexp(np.max(xi_vec))[1])
-    xi_vec = np.ldexp(xi_vec, -xi_exp)
+    xi_vec, xi_exp = _grouped_xi(h, cfg.xi)
     degrees = h.degrees
     covered = degrees > 0
     n_isolated = int(h.n - np.count_nonzero(covered))
@@ -547,7 +544,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             rho = fresh[sel]
         steps.append(d_h)
         # stop once cert_bound's step and rounding terms (see below) are within tol
-        if bound * d_h <= cfg.tol and c * d_h + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
+        if c * d_h + map_rounding * np.ptp(g[sel]) <= (1.0 - c) * cfg.tol:
             best_h, best_g, converged = d_h, g, True
             break
         if r < lowest_r:
@@ -606,13 +603,13 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     v = _edge_kernel(h, xi_vec, w, q)
     err = degrees * math.ldexp(1.0, -1074)
     subnormal_xi = xi_vec < np.finfo(np.float64).tiny
-    if subnormal_xi.any():
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # past the float range, the bound and lam are inf
+        if subnormal_xi.any():
             err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
+        lam = float(np.ldexp(np.exp(_log_pnorm((q - 1.0) * w + _log(v), cfg.p_conjugate)), xi_exp))
     rounding = map_rounding * float(np.ptp(best_g[sel]))
     slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
     cert_bound = None if underflowed else (c * best_h + slack) / (1.0 - c)
-    lam = float(np.ldexp(np.exp(_log_pnorm((q - 1.0) * w + _log(v), cfg.p_conjugate)), xi_exp))
     return SolverResult(
         scores=x,
         eigenvalue=lam,
@@ -633,14 +630,14 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     satisfies  N(z) = lambda * z  where N applies, per edge, the power
     q/(p-q) to the node scores, sums within the edge, raises the sum to
     1/q - 1, and accumulates xi-weighted edge values back onto nodes.
-    Returns lambda * ||N(z)/lambda - z||_2 / ||z||_2, whose squares stay
-    finite where a huge xi overflows those of N(z).  N is evaluated with
-    the gradient's edge kernel, so edges whose q-power sums underflow are
-    rescaled exactly as in the iteration, and one whose kernel term
-    overflows raises ValueError, as in `objective_gradient`.  So do an
-    edge whose scores are all 0 (an infinite kernel term, as where
-    `hypernsm`'s scores underflow), a negative score and an eigenvalue
-    that is not positive.
+    Returns lambda * ||N(z)/lambda - z||_2 / ||z||_2, N(z) and lambda
+    both over 2^k (`_grouped_xi`), so a huge xi overflows neither.  N is
+    evaluated with the gradient's edge kernel, so edges whose q-power
+    sums underflow are rescaled exactly as in the iteration, and one
+    whose kernel term overflows raises ValueError, as in
+    `objective_gradient`.  So do an edge whose scores are all 0 (an
+    infinite kernel term, as where `hypernsm`'s scores underflow), a
+    negative score and an eigenvalue that is not finite and positive.
     """
     if h.m == 0:
         raise ValueError("cannot take the eigen-residual of a hypergraph with no edges")
@@ -651,11 +648,12 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
         raise ValueError("eigen_residual needs a positive score on every edge: the kernel term "
                          "of an edge whose scores are all 0 is infinite")
     q, p, lam = cfg.q, cfg.p, result.eigenvalue
-    if not lam > 0.0:
-        raise ValueError(f"eigen_residual requires a positive eigenvalue, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"eigen_residual requires a finite positive eigenvalue, got {lam}")
     mx = np.max(w)
+    xi_vec, xi_exp = _grouped_xi(h, cfg.xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _in_range(_edge_kernel(h, _grouped_xi(h, cfg.xi), _log(w / mx), q))
-    lhs = mx ** (1.0 - q) * v
+        v = _in_range(_edge_kernel(h, xi_vec, _log(w / mx), q))
+    lhs = mx ** (1.0 - q) * v  # N(z) / 2^xi_exp
     z = w ** (p - q)
-    return lam * float(np.linalg.norm(lhs / lam - z) / np.linalg.norm(z))
+    return lam * float(np.linalg.norm(lhs / math.ldexp(lam, -xi_exp) - z) / np.linalg.norm(z))

@@ -98,6 +98,15 @@ class TestDetect:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["hypernsm", "borgatti-everett"])
+    def test_merged_weight_past_float_range_fails_cleanly(self, tmp_path, capsys, method):
+        # Borgatti-Everett wrote NaN scores with exit 0; HyperNSM failed in
+        # a least-squares solve ("SVD did not converge")
+        graph = tmp_path / "g.txt"
+        graph.write_text("a b # w=1e308\na b # w=1e308\nb c\n")
+        assert run(["detect", "--method", method, "--input", graph, "--out", tmp_path / "o.json"]) == 1
+        assert "merged weight of equal edges must be finite" in capsys.readouterr().err
+
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a b\nc c\n")

@@ -136,6 +136,16 @@ def test_integer_ids_of_mixed_numpy_types_are_accepted():
     assert edge_tuples(Hypergraph(3, [[np.uint64(2), np.int64(0)]])) == [(0, 2)]
 
 
+def test_rejects_merged_weight_past_float_range():
+    # two finite weights of one edge summed to inf, which the solvers met
+    # as NaN scores or a failed least-squares solve
+    for build in (lambda: Hypergraph(3, [[0, 1], [1, 0], [1, 2]], weights=[1e308, 1e308, 1.0]),
+                  lambda: Hypergraph.from_flat(2, np.array([2, 2]), np.array([0, 1, 1, 0]),
+                                               weights=[1e308, 1e308])):
+        with pytest.raises(ValueError, match="merged weight of equal edges must be finite, got inf"):
+            build()
+
+
 def test_rejects_node_count_beyond_int64_sort_keys():
     with pytest.raises(ValueError, match="overflow"):
         Hypergraph(2**62, [[0, 1], [1, 2]])

@@ -1,9 +1,10 @@
 import gzip
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypercp import Hypergraph, read_edge_list, write_edge_list
@@ -173,6 +174,12 @@ def test_writer_matches_reference_comprehension(case, data):
         weights = data.draw(st.lists(
             st.sampled_from([1.0, 5e-324, 1 / 3, 1e308, 2.5e-7, 123456789.0]) | st.floats(1e-300, 1e300),
             min_size=len(edges), max_size=len(edges)))
+        # equal edges merge, their weights summed in input order: the
+        # constructor rejects a sum that overflows (1e308 twice)
+        merged = {}
+        for e, w in zip(edges, weights):
+            merged[frozenset(e)] = merged.get(frozenset(e), 0.0) + w
+        assume(all(map(math.isfinite, merged.values())))
         # 1- to 4-byte UTF-8, a lone surrogate as the reader can yield it, or plain indices
         labels = data.draw(st.none() | st.lists(
             st.text(alphabet="aé節𝄞\udc80%,", min_size=1, max_size=4).filter(lambda lab: lab[0] != "%"),
@@ -295,6 +302,13 @@ def test_first_bad_line_wins(text, message):
         with pytest.raises(ValueError) as err:
             read(io.StringIO(text))
         assert str(err.value) == message
+
+
+def test_merged_weight_past_float_range_rejected():
+    # it was read as weight inf: the writer wrote w=inf, which the reader
+    # rejects, and Borgatti-Everett returned NaN scores
+    with pytest.raises(ValueError, match="merged weight of equal edges must be finite"):
+        read_edge_list(io.StringIO("a b # w=1e308\na b # w=1e308\nb c\n"))
 
 
 @pytest.mark.parametrize("name", ["h.txt", "h.txt.gz"])

@@ -22,6 +22,7 @@ from hypercp import (
     thompson_distance,
 )
 from hypercp import solver
+from hypercp.profiles import profile_curve
 
 from helpers import (
     dense_gradient,
@@ -260,6 +261,36 @@ class TestIterationMap:
         out = iteration_map(h, RECIP, x, 10.0, 11.0)
         assert np.sum(out**11.0) ** (1 / 11.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [10.1, 11.0])
+    @pytest.mark.parametrize("rule", list(XiRule), ids=lambda r: r.name)
+    def test_map_at_flat_start_is_hypernsm_first_map(self, rule, p):
+        # the public map gives the kernel the xi that hypernsm scales: it
+        # used to take xi unscaled and differed in the last bit on a third
+        # of these instances
+        for s in range(200):
+            h = random_hypergraph(np.random.default_rng(s), 8, 10, weighted=True)
+            want = hypernsm(h, SolverConfig(p=p, q=10.0, xi=rule, max_iter=1)).scores
+            got = iteration_map(h, rule, np.ones(h.n), 10.0, p)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), s
+
+    @pytest.mark.parametrize("rule", list(XiRule), ids=lambda r: r.name)
+    def test_weights_at_float_max_scale_out(self, rule):
+        # weights of 1e308 raised in the map and gradient (an overflow
+        # blamed on tiny scores) and in the weighted profile (NaN); they
+        # scale out: the map is bit for bit that of unit weights at the
+        # flat start, one rounding off it elsewhere
+        cycle = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        big, unit = Hypergraph(4, cycle, weights=[1e308] * 4), Hypergraph(4, cycle)
+        x = np.array([0.4, 1.0, 0.7, 0.2])
+        assert np.array_equal(profile_curve(big, x, rule).values, profile_curve(unit, x, rule).values)
+        assert np.array_equal(iteration_map(big, rule, np.ones(4), 10.0, 11.0),
+                              iteration_map(unit, rule, np.ones(4), 10.0, 11.0))
+        np.testing.assert_allclose(iteration_map(big, rule, x, 10.0, 11.0),
+                                   iteration_map(unit, rule, x, 10.0, 11.0), rtol=4e-16, atol=0)
+        scale = 1.0 if rule is RECIP else 1e308
+        np.testing.assert_allclose(objective_gradient(big, rule, np.ones(4), 10.0),
+                                   scale * objective_gradient(unit, rule, np.ones(4), 10.0), rtol=1e-15)
+
     def test_contraction_bound_dense_instances(self):
         # the per-pair factor (q-1)/(p-1) holds when node degrees are
         # high enough to average the per-edge terms; model samples are
@@ -344,8 +375,7 @@ class TestIterationMap:
         core = random_hypergraph(rng, n, m, smax=min(5, n), weighted=True)
         h = Hypergraph(n + isolated, edge_tuples(core), weights=core.weights)
         q, p = qp
-        xi = solver._grouped_xi(h, rule)
-        xi = np.ldexp(xi, -int(np.frexp(np.max(xi))[1]))
+        xi = solver._grouped_xi(h, rule)[0]
         dim = rng.random(h.m) < faint
         dim[np.argmax(xi)] = False
         xi[dim] = np.ldexp(xi[dim], -rng.integers(1050, 1110, size=np.count_nonzero(dim)))
@@ -562,6 +592,19 @@ class TestSolver:
         want = longdouble_fixed_point(h, UNIT, 11.0, 10.0)
         assert np.max(np.abs(res.scores - want) / want) < 5e-11
         assert eigen_residual(h, res, tight) < 1e-12 * res.eigenvalue
+
+    def test_eigenvalue_past_float_range(self):
+        # every gradient entry is 2^(1/q) * 1e308, so lambda is past the
+        # float range: the solve emitted an ldexp overflow warning, and
+        # eigen_residual on its result returned NaN
+        cycle = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        h = Hypergraph(4, cycle, weights=[1e308] * 4)
+        cfg = SolverConfig(xi=UNIT)
+        res = hypernsm(h, cfg)
+        assert res.converged and res.eigenvalue == np.inf
+        assert np.array_equal(res.scores, hypernsm(Hypergraph(4, cycle), cfg).scores)
+        with pytest.raises(ValueError, match="positive eigenvalue"):
+            eigen_residual(h, res, cfg)
 
     def test_tiny_score_not_flushed_to_zero(self, caplog):
         # node 3 hangs off a 1e-200 edge and scores 2.56e-198 at p=11: far
