@@ -262,24 +262,11 @@ def read_label_set(source, h: Hypergraph) -> tuple[list[int], list[str]]:
     One label per whitespace-separated token; '%' comments allowed.
     Labels absent from the hypergraph are returned instead of raising.
     """
-    if h.labels is not None:
-        lookup = {lab: i for i, lab in enumerate(h.labels)}
-    else:
-        lookup = {str(i): i for i in range(h.n)}
-    found: list[int] = []
-    missing: list[str] = []
-    seen: set[str] = set()
+    names = map(str, range(h.n)) if h.labels is None else h.labels
+    lookup = {lab: i for i, lab in enumerate(names)}
     with _open_text(source) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            for lab in line.split():
-                if lab in seen:
-                    continue
-                seen.add(lab)
-                if lab in lookup:
-                    found.append(lookup[lab])
-                else:
-                    missing.append(lab)
-    return found, missing
+        labels = dict.fromkeys(
+            lab for line in f if not line.lstrip().startswith("%") for lab in line.split()
+        )
+    found = [lookup[lab] for lab in labels if lab in lookup]
+    return found, [lab for lab in labels if lab not in lookup]

@@ -34,7 +34,7 @@ a one-step Jacobi-Newton correction (Ortega & Rheinboldt 1970) that
 divides that diagonal out; it has T's fixed points.  The stop rule and
 the bound stay on T's own step (see `hypernsm`).
 
-There is one map, taken in logs, and one kernel of two sparse
+There is one map, taken in logs, and one kernel, `_kernel`, of two sparse
 matrix-vector products with the incidence matrix B of the hypergraph.
 It takes log scores w = log(x / max(x)) <= 0 and forms z^q as
 exp(q * w); with e = B z^q (the edge q-power sums of z),
@@ -67,10 +67,10 @@ smallest normal float, and only those edges are recomputed with their
 own largest log score r_e as the shift; their kernel term carries
 exp((1-q) r_e).  That factor overflows, and the kernel fails, for an
 edge whose largest member is below about e^(-709/(q-1)) * max(x) (about
-5e-35 at q=10): `objective_gradient`, `iteration_map` and
-`eigen_residual` raise ValueError there.  Scores leave the logs as exp(u)
-in floats, so only a score below the float range underflows to 0;
-`hypernsm` flags it.
+5e-35 at q=10): `objective_gradient`, `iteration_map`, `eigen_residual`
+and `hypernsm` (so graph NSM too) raise ValueError there.  Scores leave
+the logs as exp(u) in floats, so only a score below the float range
+underflows to 0; `hypernsm` flags it.
 
 The map runs once per iteration, so it works in place where it can: a
 function writes only into arrays that it allocated itself (the product's
@@ -119,7 +119,7 @@ class SolverConfig:
     Requires finite p > q > 1; anything else voids the convergence
     guarantee and is rejected at construction.  No method reads seed:
     the spectral methods start from the ones vector.  It stays, checked,
-    for its callers: the benchmark's p-sweep and the tests' plain-map oracle.
+    for its last user, `benchmarks/run.py`'s p-sweep, which passes it.
     """
 
     p: float = 11.0
@@ -232,7 +232,7 @@ def _edge_power_sums(
 
 
 def _grouped_xi(h: Hypergraph, rule: XiRule) -> tuple[np.ndarray, int]:
-    """(xi / 2^k, k): `xi_vector` by `unit_scaled`, in `_edge_kernel`'s grouped edge order."""
+    """(xi / 2^k, k): `xi_vector` by `unit_scaled`, in `_kernel`'s grouped edge order."""
     return unit_scaled(xi_vector(h, rule)[h.grouped_incidence.order])
 
 
@@ -252,12 +252,17 @@ def objective(h: Hypergraph, xi: XiRule, x: np.ndarray, q: float) -> float:
     return float(np.ldexp(mx * np.sum(xi_vec * norms), xi_exp))
 
 
-def _edge_terms(
-    h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float, keep_sums: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(z, s, t, low) for log scores w <= 0 and xi in grouped edge order:
-    z, s and low from `_edge_power_sums`, and the kernel's edge terms
-    t = xi * s^(1/q - 1), formed in s's buffer unless keep_sums.
+def _kernel(
+    h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float, want_rho: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(v, z, low, rho) for log scores w <= 0 and xi in grouped edge order:
+    v = B^T t, t the edge terms xi * s^(1/q - 1), with z, the edge sums s
+    and low from `_edge_power_sums`.  `hypernsm`'s preconditioner reads
+    z = exp(q w), low and rho = B^T(t / s) / v: z * rho is node i's share
+    a_i of its edges' q-norms.  rho costs one more B^T product and is
+    formed only when want_rho and no edge is rescaled (else None); it is
+    NaN on inactive nodes (v = 0) and may overflow where an edge sum is
+    tiny, so a caller that asks for it ignores floating-point errors.
 
     An edge rescaled by `_edge_power_sums` has its shift folded back into
     t as exp((1 - q) r_e).  The factor is skipped, and the term set to 0,
@@ -265,42 +270,28 @@ def _edge_terms(
     (r_e = -inf: every member inactive, so its term meets only gradient
     entries x_i^(q-1) = 0); there it would make 0 * inf = NaN."""
     z, s, low, r = _edge_power_sums(h, w, q)
-    t = np.power(s, 1.0 / q - 1.0, out=None if keep_sums else s)
+    want_rho = want_rho and not low.size
+    t = np.power(s, 1.0 / q - 1.0, out=None if want_rho else s)
     np.multiply(xi_vec, t, out=t)
     if low.size:
         live = (t[low] > 0.0) & (r > -np.inf)
         t[low[~live]] = 0.0
         t[low[live]] *= np.exp((1.0 - q) * r[live])
-    return z, s, t, low
-
-
-def _edge_kernel(h: Hypergraph, xi_vec: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
-    """B^T t, t the edge terms xi * e^(1/q - 1) of `_edge_terms`, e the
-    edge q-power sums of exp(w)."""
-    return h.grouped_incidence.bt @ _edge_terms(h, xi_vec, w, q)[2]
+    bt = h.grouped_incidence.bt
+    v = bt @ t
+    rho = np.divide(bt @ np.divide(t, s, out=s), v) if want_rho else None
+    return v, z, low, rho
 
 
 def _log_gradient_terms(
     h: Hypergraph, xi_vec: np.ndarray, u: np.ndarray, q: float, want_rho: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(log gradient, z, low, rho) at exp(u).  Entry i of the log of the
-    objective's gradient is (q-1) * w_i + log v_i, w = u - max(u) and v
-    the kernel output: it does not change when x is scaled.  Isolated
-    nodes (u = -inf, v = 0) map to -inf.  `hypernsm`'s preconditioner
-    reads z = exp(q w) and low (`_edge_power_sums`'), and rho =
-    B^T(t / s) / v, t the edge terms, s the edge sums and v = B^T t:
-    z * rho is node i's share a_i of its edges' q-norms.  rho costs one
-    more B^T product and is formed only when want_rho and no edge is
-    rescaled (else None).  It is NaN on inactive nodes (v = 0) and may
-    overflow where an edge sum is tiny."""
+    """(log gradient, z, low, rho) at exp(u), the last three `_kernel`'s.
+    Entry i of the log of the objective's gradient is (q-1) * w_i + log v_i,
+    w = u - max(u) and v the kernel output: it does not change when x is
+    scaled.  Isolated nodes (u = -inf, v = 0) map to -inf."""
     w = u - u.max()
-    z, s, t, low = _edge_terms(h, xi_vec, w, q, keep_sums=want_rho)
-    bt = h.grouped_incidence.bt
-    v = bt @ t
-    rho = None
-    if want_rho and not low.size:
-        with np.errstate(all="ignore"):
-            rho = np.divide(bt @ np.divide(t, s, out=s), v)
+    v, z, low, rho = _kernel(h, xi_vec, w, q, want_rho)
     return np.add(np.multiply(q - 1.0, w, out=w), _log(v, out=v), out=v), z, low, rho
 
 
@@ -313,16 +304,21 @@ def _log_step(g: np.ndarray, p: float) -> np.ndarray:
     return g
 
 
+def _overflow() -> ValueError:
+    """The error for a kernel term past the float range."""
+    return ValueError(
+        "a gradient kernel term xi(e) * ||x_e / max(x)||_q^(1-q) overflows the float range, "
+        "as on an edge whose largest score is below about exp(-709/(q-1)) * max(x) "
+        "(5e-35 at q=10)"
+    )
+
+
 def _in_range(a: np.ndarray) -> np.ndarray:
     """a, the kernel output or a log gradient, unless a kernel term
     overflowed into it (+inf, or NaN where it met a term that underflowed
-    to 0): then ValueError naming the cause."""
+    to 0): then `_overflow`'s ValueError."""
     if not np.all(a < np.inf):
-        raise ValueError(
-            "a gradient kernel term xi(e) * ||x_e / max(x)||_q^(1-q) overflows the float range, "
-            "as on an edge whose largest score is below about exp(-709/(q-1)) * max(x) "
-            "(5e-35 at q=10)"
-        )
+        raise _overflow()
     return a
 
 
@@ -461,6 +457,10 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     accepts it whatever its step, and clears the memory, which Anderson
     refills with `ANDERSON_MEMORY` plain steps before it solves and
     extrapolates again: no map is spent twice, and no solve is dropped.
+    Every map runs with floating-point errors ignored.  A T step (the
+    start's map, or that of a T image) whose Thompson step is not finite,
+    as where a kernel term overflows, raises the ValueError that
+    `iteration_map` raises there (see `hypercp.solver`).
     Non-convergence within cfg.max_iter is flagged, not raised; the best
     point's T x and bound are returned, as they are when cfg.tol is below
     the map's rounding term and c * d_T(x, T x) within it.
@@ -474,12 +474,11 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     every map, rho saved few maps for a B^T product each, and a frozen a
     (z included) left solves that did not converge.  A map with rescaled
     edges, or a P u that is not finite, feeds T u.  A P step is accepted
-    whatever its step, as a plain step is, but its map runs with
-    floating-point errors ignored and a non-finite one falls back to the
-    best point's T step, as for an extrapolation.  The stop rule,
-    residual_trace, the best point, cert_bound and the returned T x stay
-    on T's steps: the bound is about T's contraction and T x, and P's
-    step (up to 1/(1-c) times T's) bounds neither.  P can stall a solve
+    whatever its step, as a plain step is, but a non-finite map of it
+    falls back to the best point's T step, as for an extrapolation.  The
+    stop rule, residual_trace, the best point, cert_bound and the returned
+    T x stay on T's steps: the bound is about T's contraction and T x, and
+    P's step (up to 1/(1-c) times T's) bounds neither.  P can stall a solve
     that T with Anderson alone would finish: while P is on, `STALL` maps
     without a new lowest T step drop P for the rest of the solve, and the
     loop restarts from the lowest step's T image with a cleared memory,
@@ -519,7 +518,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     all_active = bool(active.all())
     sel = slice(None) if all_active else active  # a view, no copy, when every node is active
     best_r, best_h, best_g = math.inf, math.inf, u
-    exact = True  # u is the start or a T step: its map reports floating-point errors
+    exact = True  # u is the start or a T step: a map past the float range raises
     plain = True  # u is not an extrapolation, so it is accepted whatever its step
     rho = None  # the preconditioner's B^T(t / s) / v on the active nodes, once switched on
     dropped = False  # P stalled and is off for the rest of the solve
@@ -531,8 +530,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        # an extrapolation or a P step may leave the kernel's range; its map is then dropped
-        with np.errstate(all=None if exact else "ignore"):
+        # a map may leave the kernel's range: a T step's raises, any other's is dropped
+        with np.errstate(all="ignore"):
             g, z, low, fresh = _log_gradient_terms(
                 h, xi_vec, u, q, want_rho=rho is None and not dropped and best_r < PRECONDITION_STEP
             )
@@ -540,6 +539,8 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
         f = g[sel] - u[sel]
         top, bottom = float(f.max()), float(f.min())
         r, d_h = max(top, -bottom), top - bottom  # the Thompson and Hilbert steps
+        if exact and not r < math.inf:
+            raise _overflow()  # as `iteration_map` does
         if fresh is not None and r < math.inf:
             rho = fresh[sel]
         steps.append(d_h)
@@ -560,7 +561,7 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
             accel.clear(ANDERSON_MEMORY)
             continue
         # a P step is accepted whatever its step, but not a non-finite map
-        if plain and (exact or r < math.inf) or r < best_r:
+        if plain and r < math.inf or r < best_r:
             best_r, best_h, best_g = r, d_h, g
             step, image = f, g
             if rho is not None and not low.size:
@@ -600,12 +601,12 @@ def hypernsm(h: Hypergraph, cfg: SolverConfig | None = None) -> SolverResult:
     # On an edge whose xi rounded to 0 that share can overflow: the bound
     # is then infinite.
     w = best_g - best_g.max()
-    v = _edge_kernel(h, xi_vec, w, q)
+    v = _kernel(h, xi_vec, w, q)[0]
     err = degrees * math.ldexp(1.0, -1074)
     subnormal_xi = xi_vec < np.finfo(np.float64).tiny
     with np.errstate(over="ignore"):  # past the float range, the bound and lam are inf
         if subnormal_xi.any():
-            err += _edge_kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)
+            err += _kernel(h, np.where(subnormal_xi, math.ldexp(1.0, -1074), 0.0), w, q)[0]
         lam = float(np.ldexp(np.exp(_log_pnorm((q - 1.0) * w + _log(v), cfg.p_conjugate)), xi_exp))
     rounding = map_rounding * float(np.ptp(best_g[sel]))
     slack = float(np.max(err[active] / v[active])) / (p - 1.0) + rounding
@@ -653,7 +654,7 @@ def eigen_residual(h: Hypergraph, result: SolverResult, cfg: SolverConfig) -> fl
     mx = np.max(w)
     xi_vec, xi_exp = _grouped_xi(h, cfg.xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _in_range(_edge_kernel(h, xi_vec, _log(w / mx), q))
+        v = _in_range(_kernel(h, xi_vec, _log(w / mx), q)[0])
     lhs = mx ** (1.0 - q) * v  # N(z) / 2^xi_exp
     z = w ** (p - q)
     return lam * float(np.linalg.norm(lhs / math.ldexp(lam, -xi_exp) - z) / np.linalg.norm(z))

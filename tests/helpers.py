@@ -366,15 +366,15 @@ def longdouble_fixed_point(
 
 
 def plain_map_steps(
-    h: Hypergraph, cfg: SolverConfig, max_maps: int = 400
+    h: Hypergraph, cfg: SolverConfig, seed: int, max_maps: int = 400
 ) -> tuple[list[float], np.ndarray]:
     """Thompson steps and last image of the plain map `iteration_map`,
-    iterated from a random start uniform on [0.5, 1.5] that cfg.seed
-    seeds, until c/(1-c) times the step, c the contraction factor, is at
-    most cfg.tol or max_maps maps are spent.  `hypernsm` starts from the
-    ones vector, so these are the distinct starts of the paper's claim
-    that the map converges to one optimum from any positive start."""
-    rng = np.random.default_rng(cfg.seed)
+    iterated from a random start uniform on [0.5, 1.5] that seed seeds,
+    until c/(1-c) times the step, c the contraction factor, is at most
+    cfg.tol or max_maps maps are spent.  `hypernsm` starts from the ones
+    vector, so these are the distinct starts of the paper's claim that
+    the map converges to one optimum from any positive start."""
+    rng = np.random.default_rng(seed)
     x = rng.uniform(0.5, 1.5, size=h.n)
     active = h.degrees > 0
     x[~active] = 0.0

@@ -63,7 +63,7 @@ def convergence_runs():
         rng = np.random.default_rng(1000 + i)
         h = random_hypergraph(rng, 50, 150, smin=2, smax=6)
         res = hypernsm(h, SolverConfig(max_iter=400))
-        plain = [plain_map_steps(h, SolverConfig(seed=s), max_maps=400) for s in (0, 1, 2)]
+        plain = [plain_map_steps(h, SolverConfig(), s, max_maps=400) for s in (0, 1, 2)]
         runs.append((h, res, plain))
     return runs
 

@@ -107,6 +107,16 @@ class TestDetect:
         assert run(["detect", "--method", method, "--input", graph, "--out", tmp_path / "o.json"]) == 1
         assert "merged weight of equal edges must be finite" in capsys.readouterr().err
 
+    def test_kernel_overflow_fails_cleanly(self, tmp_path, capsys):
+        # a T step's kernel term overflows on this path: the solve failed in
+        # a least-squares solve ("SVD did not converge") after LAPACK errors
+        graph = tmp_path / "g.txt"
+        graph.write_text("a b # w=2e-132\nb c # w=3e179\nc d # w=3e126\nd e # w=6e-138\n")
+        out = tmp_path / "o.json"
+        assert run(["detect", "--xi", "unit", "--p", "10.1", "--input", graph, "--out", out]) == 1
+        assert "overflows the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a b\nc c\n")

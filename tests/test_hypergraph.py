@@ -27,7 +27,7 @@ from hypercp import (
 
 from hypercp.baselines import _node_edges
 from hypercp.hypergraph import row_indices
-from hypercp.solver import _edge_kernel
+from hypercp.solver import _kernel
 
 from helpers import canonical_b, canonical_incidence, edge_tuples, node_edges, random_hypergraph
 
@@ -290,7 +290,7 @@ def test_grouped_kernel_matches_canonical_product_bits(case, seed, q):
         t = (xi * (b @ np.exp(q * w)) ** (1.0 / q - 1.0))[order]
         want = np.zeros(n)
         np.add.at(want, targets, np.repeat(t, h.sizes[order]))
-        got = _edge_kernel(h, xi[order], w, q)
+        got = _kernel(h, xi[order], w, q)[0]
         assert got.tobytes() == want.tobytes()
 
 

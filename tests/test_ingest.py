@@ -117,6 +117,14 @@ class TestLabelSet:
         assert found == [0, 2]
         assert missing == ["7"]
 
+    def test_repeats_comments_and_separators(self):
+        # a label repeated across lines is found once and a missing one
+        # reported once; an indented '%' line is a comment; CRLF, tab and
+        # ideographic space separate labels
+        h = read_edge_list(io.StringIO("a b\nb c\nc d\n"))
+        text = "c\ta\r\n  % b\r\nzz\u3000c a\r\n\r\nd zz\n"
+        assert read_label_set(io.StringIO(text), h) == ([2, 0, 3], ["zz"])
+
 
 def _text_from_oracle(n, edges, weights) -> str:
     offsets, members, merged = canonical_incidence(n, edges, weights)

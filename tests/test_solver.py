@@ -15,6 +15,7 @@ from hypercp import (
     SolverResult,
     XiRule,
     eigen_residual,
+    graph_nsm,
     hypernsm,
     iteration_map,
     objective,
@@ -42,6 +43,13 @@ UNIT = XiRule.UNIT
 def sweep_shaped_hypergraph():
     """500 nodes, 1500 edges of sizes 3-7 with weights: p-sweep's shape, a tenth of its size."""
     return random_hypergraph(np.random.default_rng(11), 500, 1500, smin=3, smax=7, weighted=True)
+
+
+def overflow_path():
+    """A 5-node path whose plain T steps at p = 10.1 and 10.01 (UNIT or
+    WEIGHTED_RECIPROCAL) leave an edge's largest score below about
+    exp(-709/(q-1)) of the max, so that edge's kernel term overflows."""
+    return Hypergraph(5, [[0, 1], [1, 2], [2, 3], [3, 4]], weights=[2e-132, 3e179, 3e126, 6e-138])
 
 
 def positive_unit_vector(rng, n, p):
@@ -452,7 +460,7 @@ class TestSolver:
         a = hypernsm(h, SolverConfig(seed=1))
         assert np.array_equal(a.scores, hypernsm(h, SolverConfig(seed=2)).scores)
         for s in (1, 2):
-            assert np.allclose(a.scores, plain_map_steps(h, SolverConfig(seed=s))[1], atol=1e-6)
+            assert np.allclose(a.scores, plain_map_steps(h, SolverConfig(), s)[1], atol=1e-6)
 
     def test_multi_start_uniqueness(self):
         # hypernsm and the plain map from seeded random starts each stop
@@ -464,11 +472,11 @@ class TestSolver:
             tight = SolverConfig(p=19.0, q=10.0)
             want = hypernsm(h, tight).scores
             for s in (0, 1, 2):
-                x = plain_map_steps(h, dataclasses.replace(tight, seed=s))[1]
+                x = plain_map_steps(h, tight, s)[1]
                 assert np.max(np.abs(x - want)) < 10 * 1e-8
             want = hypernsm(h, SolverConfig()).scores
             for s in (0, 1, 2):
-                x = plain_map_steps(h, SolverConfig(seed=s))[1]
+                x = plain_map_steps(h, SolverConfig(), s)[1]
                 assert np.max(np.abs(x / want - 1.0)) <= 2 * 1e-8
 
     def test_hypercycle_overlap_nodes_on_top(self):
@@ -511,7 +519,7 @@ class TestSolver:
         # accelerated solve: drive iteration_map from a seeded random start
         rng = np.random.default_rng(17)
         h = random_hypergraph(rng, 30, 50)
-        r = np.asarray(plain_map_steps(h, SolverConfig())[0])
+        r = np.asarray(plain_map_steps(h, SolverConfig(), 0)[0])
         ratios = r[1:] / r[:-1]
         tail = ratios[-max(3, len(ratios) // 4):]
         assert np.all(tail <= 0.9 + 0.05)
@@ -523,7 +531,7 @@ class TestSolver:
         assert len(res.residual_trace) == res.iterations
         assert res.cert_bound == pytest.approx(9.0 * res.residual_trace[-1], rel=1e-6)
         # plain-map step ratios eventually sit at or below the contraction factor
-        steps = plain_map_steps(h, SolverConfig())[0]
+        steps = plain_map_steps(h, SolverConfig(), 0)[0]
         ratios = np.asarray(steps[1:]) / np.asarray(steps[:-1])
         assert np.median(ratios[-5:]) <= 0.9 + 0.05
 
@@ -684,6 +692,27 @@ class TestSolver:
         assert messages == [f"{len(zeros)} non-isolated node scores underflowed to 0"]
         assert objective(h, UNIT, res.scores, 10.0) == pytest.approx(
             naive_objective(h, UNIT, res.scores, 10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("method", [hypernsm, graph_nsm])
+    @pytest.mark.parametrize("rule", [UNIT, XiRule.WEIGHTED_RECIPROCAL])
+    @pytest.mark.parametrize("p", [10.1, 10.01])
+    def test_plain_map_overflow_reported(self, method, rule, p):
+        # a T step's kernel term overflows: the inf reached Anderson's
+        # least-squares solve, which failed ("SVD did not converge")
+        with pytest.raises(ValueError, match="overflows the float range"):
+            method(overflow_path(), SolverConfig(p=p, q=10.0, xi=rule))
+
+    @pytest.mark.parametrize("rule,p,maps,converged", [
+        (RECIP, 11.0, 19, True), (RECIP, 10.1, 30, True), (RECIP, 10.01, 51, True),
+        (UNIT, 11.0, 13, False), (XiRule.WEIGHTED_RECIPROCAL, 11.0, 13, False),
+    ])
+    def test_overflow_path_solves_stay(self, rule, p, maps, converged):
+        # where no T step overflows, the raise leaves the solve as it was
+        res = hypernsm(overflow_path(), SolverConfig(p=p, q=10.0, xi=rule))
+        assert (res.iterations, res.converged) == (maps, converged)
+        if not converged:
+            assert res.cert_bound == pytest.approx(7.97e-7, rel=1e-3)
+            assert res.scores.min() == pytest.approx(1.2e-311, rel=0.05)
 
     @pytest.mark.parametrize("seed,p", [*((s, p) for s in range(12) for p in (11.0, 10.1)), (None, 10.2)])
     def test_cert_bound_covers_map_rounding(self, seed, p):
