@@ -122,7 +122,6 @@ class UmhsResult:
 
     ranking: list[int]
     hitting_set: list[int]
-    restarts: int
 
     @property
     def set_size(self) -> int:
@@ -271,4 +270,4 @@ def umhs(h: Hypergraph, restarts: int = 5, seed: int = 0) -> UmhsResult:
     in_set[best] = True
     head = by_degree[in_set[by_degree]].tolist()
     tail = by_degree[~in_set[by_degree]].tolist()
-    return UmhsResult(ranking=head + tail, hitting_set=head, restarts=restarts)
+    return UmhsResult(ranking=head + tail, hitting_set=head)

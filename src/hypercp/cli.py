@@ -10,7 +10,8 @@ Subcommands:
 
 Every run writes a JSON manifest recording the resolved options, so any
 output can be reproduced later; outputs are written atomically (temp
-file + rename), never partially.
+file + rename), never partially.  Every file whose name ends in ``.gz``
+is gzip, read or written.
 
 Process exit.  Run as the process entry point (``main()`` with no argv:
 the ``hypercp`` script, ``python -m hypercp.cli``), `main` registers
@@ -35,6 +36,7 @@ import argparse
 import atexit
 import csv
 import gc
+import gzip
 import io
 import json
 import os
@@ -47,7 +49,7 @@ import numpy as np
 from .baselines import borgatti_everett, graph_nsm, umhs
 from .generator import GeneratorConfig, sample
 from .hypergraph import Hypergraph, XiRule, score_vector
-from .ingest import read_edge_list, read_label_set, write_edge_list
+from .ingest import _open_text, read_edge_list, read_label_set, write_edge_list
 from .profiles import intersection_curve, profile_curve, write_curves_csv
 from .solver import SolverConfig, hypernsm
 
@@ -58,14 +60,17 @@ _XI_CHOICES = sorted(rule.value for rule in XiRule)
 def _atomic_write(path: Path, text: str) -> None:
     """Write a uniquely named temp file beside the target, then rename it
     over the target: readers never see a partial file, writers never
-    share a temp file, and a failed write leaves none behind."""
+    share a temp file, and a failed write leaves none behind.  A ``.gz``
+    target is gzip with a fixed header time, so reruns write the same bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # O_EXCL never opens an existing file; 0o666 lets the umask apply as open() does
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as raw:
+            sink = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) if path.suffix == ".gz" else raw
+            with io.TextIOWrapper(sink, encoding="utf-8") as f:
+                f.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -172,7 +177,7 @@ def cmd_detect(args) -> int:
 def _load_scores(path: str, h: Hypergraph) -> np.ndarray:
     """Scores from a `detect` output file: the JSON payload, in node
     order, or the node,label,score CSV, matched to nodes by label."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with _open_text(path) as f:
         header = f.readline()
         if header.rstrip("\r\n") != "node,label,score":
             try:
@@ -259,7 +264,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    with open(args.manifest, encoding="utf-8") as f:
+    with _open_text(args.manifest) as f:
         try:
             manifest = json.load(f)
         except ValueError as exc:

@@ -1,11 +1,12 @@
 """Random hypergraphs with a planted core-periphery ordering.
 
-Every candidate subset e of {1..n} with 2 <= |e| <= max_size is included
-independently with probability sigmoid(xi(e) * coreness(e)), where the
-coreness of an edge is the q-norm of (n - rank)/n over the planted ranks
-of its nodes (rank 1 = most core).  All probabilities are >= 1/2, so the
-samples are dense: the model is an exact desk-scale generator, not a
-sparse one, and candidate enumeration is guarded by a subset budget.
+The planted ranks are a uniform random permutation (rank 1 = most core),
+the first draw from the seed.  Every candidate subset e of {1..n} with
+2 <= |e| <= max_size is then included independently with probability
+sigmoid(xi(e) * coreness(e)), the coreness of an edge being the q-norm
+of (n - rank)/n over the ranks of its nodes.  All probabilities are >= 1/2,
+so samples are dense: an exact desk-scale generator, not a sparse one,
+with candidate enumeration guarded by a subset budget.
 
 The maximum-likelihood node ordering for an observed hypergraph under
 this model is exactly the ordering maximizing the xi-weighted coreness
@@ -38,20 +39,14 @@ CANDIDATE_BUDGET = 10_000_000  # most candidate subsets `sample` enumerates
 
 @dataclasses.dataclass(frozen=True)
 class GeneratorConfig:
-    """Parameters of the planted-structure random model.
-
-    planted_perm, when given, pins the rank of each node directly
-    (planted_perm[i] is the 1-based rank of node i) and disables the
-    label shuffle; when None, ranks are a uniform random permutation
-    drawn from `seed` and returned alongside the sample.
-    """
+    """Parameters of the planted-structure random model.  The planted
+    ranks are not one of them: `sample` draws them from `seed`."""
 
     n: int
     max_size: int
     q_mu: float = 10.0
     xi: XiRule = XiRule.RECIPROCAL
     seed: int = 0
-    planted_perm: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("n", "max_size", "seed"):
@@ -60,8 +55,6 @@ class GeneratorConfig:
             raise ValueError(f"need 2 <= max_size <= n, got max_size={self.max_size}, n={self.n}")
         exponent("q_mu", self.q_mu)
         xi_rule(self.xi)
-        if self.planted_perm is not None:
-            _ranks(self.planted_perm, self.n)
 
 
 def _ranks(perm, n: int) -> np.ndarray:
@@ -107,7 +100,7 @@ def sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
     each independently with its model probability, and returns the
     hypergraph over observed node labels together with the planted
     ranks: ranks[i] is the 1-based coreness rank of observed node i.
-    Unless cfg.planted_perm pins them, ranks are shuffled uniformly so
+    The ranks are the generator's first draw, a uniform permutation, so
     detectors cannot read the planted order off the labels.
     """
     total = candidate_count(cfg.n, cfg.max_size)
@@ -117,10 +110,7 @@ def sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
             "this exact enumerate-and-flip sampler is desk-scale only"
         )
     rng = np.random.default_rng(cfg.seed)
-    if cfg.planted_perm is not None:
-        ranks = np.asarray(cfg.planted_perm, dtype=np.int64)
-    else:
-        ranks = rng.permutation(cfg.n).astype(np.int64) + 1
+    ranks = rng.permutation(cfg.n).astype(np.int64) + 1
 
     # rank r is held by the node with that rank
     node_of_rank = np.empty(cfg.n, dtype=np.int64)

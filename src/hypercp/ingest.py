@@ -15,14 +15,16 @@ the UTF-8 bytes with numpy: a whitespace mask gives the token bounds,
 the newline positions give each line's first token, and each line's
 first ``#`` cuts its labels from its weight.  Labels and weight strings
 are interned as keys: each is packed into big-endian uint64 columns, one
-per 8 bytes with the bytes past its end zeroed, plus a length column
-when the text holds a NUL byte (without one, zero padding cannot make
-two strings equal).  One sort groups equal keys, and the groups are
-numbered by first appearance.  Only the distinct labels are decoded,
-``float`` runs once per distinct weight string, and the checks are
-array operations: the first bad line in file order raises, with the
-message of its first failed check (weight syntax, weight value, two
-distinct labels, then a finite positive weight).
+per 8 bytes with the bytes past its end zeroed, plus its length when the
+text holds a NUL byte (without one, zero padding cannot make two strings
+equal).  One sort on the first column groups the strings of up to 8
+bytes; a later column is read only for the strings still tied that reach
+it.  The groups are numbered by first appearance.  Only the distinct
+labels are decoded, ``float`` runs once per distinct weight string, and
+the checks are array operations: the first bad line in file order
+raises, with the message of its first failed check (weight syntax,
+weight value, two distinct labels, no label that starts with ``%``,
+then a finite positive weight).
 """
 
 from __future__ import annotations
@@ -70,23 +72,53 @@ def _sorted_keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
     Returns the sorting order, a flag on the first string of each run of
     equal ones, and each run's smallest k.  `buf` ends with 8 zero bytes
-    past every string, so each key column reads a whole uint64.
+    past every string, so each key column reads a whole uint64.  One
+    sort on the first column (and the length, when the text holds a NUL
+    byte), refined one column at a time over only the strings still tied
+    and longer than the columns read: the work stays linear in the text
+    however long the longest string.
     """
     lens = ends - starts
     window = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
-    cols = []
-    for j in range(max(1, -(-int(lens.max()) // 8))):
-        col = window[np.minimum(starts + 8 * j, buf.size - 8)]
-        col &= _KEEP[np.clip(lens - 8 * j, 0, 8)]
-        cols.append(col)
-    if not buf[:-8].all():  # a NUL byte: "a" and "a\0" pack alike
-        cols.append(lens.astype(np.uint64))
-    order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols[::-1])
-    new = np.zeros(starts.size, dtype=bool)
-    new[0] = True
-    for col in cols:
-        ranked = col[order]
+
+    def column(rows, j):
+        col = window[np.minimum(starts[rows] + 8 * j, buf.size - 8)]
+        col &= _KEEP[np.clip(lens[rows] - 8 * j, 0, 8)]
+        return col
+
+    col = column(slice(None), 0)
+    nul = not buf[:-8].all()  # a NUL byte: "a" and "a\0" pack alike
+    order = np.lexsort((col, lens)) if nul else np.argsort(col)
+    new = np.ones(starts.size, dtype=bool)
+    ranked = col[order]
+    new[1:] = ranked[1:] != ranked[:-1]
+    if nul:
+        ranked = lens[order]
         new[1:] |= ranked[1:] != ranked[:-1]
+    if lens.max() > 8:
+        # without a NUL byte, a string that ends by column j has zero there
+        # and one that goes on has not, so tied strings part where one ends
+        heads = np.flatnonzero(new)
+        run = np.cumsum(new) - 1
+        size = np.bincount(run)
+        longest = np.maximum.reduceat(lens[order], heads)
+        live = np.flatnonzero(((size > 1) & (longest > 8))[run])
+        group = heads[run]  # position where each string's tie group starts
+        j = 1
+        while live.size:
+            rows, g = order[live], group[live]  # g ascends: rows move only within groups
+            col = column(rows, j)
+            o = np.lexsort((col, g))
+            order[live], col = rows[o], col[o]
+            split = np.ones(live.size, dtype=bool)
+            split[1:] = (g[1:] != g[:-1]) | (col[1:] != col[:-1])
+            new[live] = split
+            run = np.cumsum(split) - 1
+            group[live] = live[split][run]
+            j += 1
+            size = np.bincount(run)
+            longest = np.maximum.reduceat(lens[order[live]], np.flatnonzero(split))
+            live = live[((size > 1) & (longest > 8 * j))[run]]
     return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
 
 
@@ -122,12 +154,15 @@ def _float_or_none(text: str) -> float | None:
 
 def _line_error(text: str, lineno: int, kind: int, weight: float) -> ValueError:
     """The error for line `lineno` of `text`, whose first failed check is `kind`."""
-    right = text.split("\n", lineno)[lineno - 1].partition("#")[2].strip()
+    left, _, right = text.split("\n", lineno)[lineno - 1].partition("#")
+    right = right.strip()
+    percent = next((lab for lab in left.split() if lab.startswith("%")), "")
     message = {
         1: f"expected '# w=<float>', got {right!r}",
         2: f"bad weight {right[2:]!r}",
         3: "a hyperedge needs at least 2 distinct labels",
-        4: f"weight must be positive and finite, got {weight}",
+        4: f"label not representable in text format: {percent!r}",
+        5: f"weight must be positive and finite, got {weight}",
     }[kind]
     return ValueError(f"line {lineno}: {message}")
 
@@ -216,7 +251,10 @@ def _parse(text: str):
 
     # the first bad line wins; within a line, the first failed check
     kind = np.zeros(sizes.size, dtype=np.int8)
-    kind[~(np.isfinite(weights) & (weights > 0.0))] = 4
+    kind[~(np.isfinite(weights) & (weights > 0.0))] = 5
+    percent = buf[starts[label_first]] == ord("%")  # only a line's first token makes a comment
+    if percent.any():
+        kind[np.searchsorted(np.cumsum(sizes), np.flatnonzero(percent[ids]), side="right")] = 4
     kind[~two] = 3
     kind[weighted[unparsed[weight_ids]]] = 2
     kind[hashed[~syntax]] = 1

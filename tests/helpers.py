@@ -124,6 +124,11 @@ def reference_read_edge_list(source) -> Hypergraph:
                 raise ValueError(
                     f"line {lineno}: a hyperedge needs at least 2 distinct labels"
                 )
+            percent = [lab for lab in labels if lab.startswith("%")]
+            if percent:
+                raise ValueError(
+                    f"line {lineno}: label not representable in text format: {percent[0]!r}"
+                )
             if not (math.isfinite(weight) and weight > 0.0):
                 raise ValueError(f"line {lineno}: weight must be positive and finite, got {weight}")
             sizes.append(len(labels))
@@ -152,10 +157,7 @@ def reference_sample(cfg: GeneratorConfig) -> tuple[Hypergraph, np.ndarray]:
     one `rng.random` draw per size.  `hypercp.generator.sample` must draw
     the same hypergraph and ranks for every config."""
     rng = np.random.default_rng(cfg.seed)
-    if cfg.planted_perm is not None:
-        ranks = np.asarray(cfg.planted_perm, dtype=np.int64)
-    else:
-        ranks = rng.permutation(cfg.n).astype(np.int64) + 1
+    ranks = rng.permutation(cfg.n).astype(np.int64) + 1
     node_of_rank = np.empty(cfg.n, dtype=np.int64)
     node_of_rank[ranks - 1] = np.arange(cfg.n)
     kept = []

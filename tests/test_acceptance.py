@@ -219,19 +219,20 @@ def test_criterion_07_ordering_objective_equals_mle():
 
 def test_criterion_08_generator_calibration():
     n, max_size, trials = 8, 4, 10_000
-    identity = tuple(range(1, n + 1))
-    cfg = GeneratorConfig(n=n, max_size=max_size, q_mu=10.0, planted_perm=identity)
+    cfg = GeneratorConfig(n=n, max_size=max_size, q_mu=10.0)
+    # each sampled edge counts under the planted ranks of its members
     counts: dict[tuple[int, ...], int] = {}
     for t in range(trials):
-        h, _ = sample(dataclasses.replace(cfg, seed=t))
+        h, ranks = sample(dataclasses.replace(cfg, seed=t))
         for e in edge_tuples(h):
-            counts[e] = counts.get(e, 0) + 1
+            key = tuple(sorted(ranks[list(e)].tolist()))
+            counts[key] = counts.get(key, 0) + 1
     worst_z, candidates = 0.0, 0
     for r in range(2, max_size + 1):
-        for combo in itertools.combinations(range(n), r):
-            p = edge_probability([i + 1 for i in combo], cfg)
+        for ranks in itertools.combinations(range(1, n + 1), r):
+            p = edge_probability(ranks, cfg)
             sigma = math.sqrt(trials * p * (1 - p))
-            z = abs(counts.get(combo, 0) - trials * p) / sigma
+            z = abs(counts.get(ranks, 0) - trials * p) / sigma
             worst_z = max(worst_z, z)
             candidates += 1
     ok = candidates == 154 and worst_z <= 4.0
@@ -336,16 +337,20 @@ def test_criterion_12_complexity_scaling():
     n, m = 10_000, 40_000
     h1 = _big_random_hypergraph(rng, n, m)
     h2 = _big_random_hypergraph(rng, n, 2 * m)
-    ratios = []
-    for _ in range(5):
-        ratios.append(_timed_per_iteration(h2) / _timed_per_iteration(h1))
-    med = float(np.median(ratios))
-    ok = 1.5 <= med <= 3.0
+    # each instance's per-iteration time is its fastest of 25 solves, taken in
+    # turns: a burst of load from other processes slows some solves, never
+    # speeds one up, so the fastest is the instance's own cost
+    t1 = t2 = math.inf
+    for _ in range(25):
+        t1 = min(t1, _timed_per_iteration(h1))
+        t2 = min(t2, _timed_per_iteration(h2))
+    ratio = t2 / t1
+    ok = 1.5 <= ratio <= 3.0
     report(
         12,
         ok,
         f"n=10^4, mean size 5: doubling edges scales per-iteration time by "
-        f"median {med:.2f} (bounds [1.5, 3.0])",
+        f"{ratio:.2f}, fastest of 25 solves each (bounds [1.5, 3.0])",
     )
 
 

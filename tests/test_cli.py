@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import os
 import subprocess
@@ -52,6 +53,16 @@ class TestGenerate:
         run(["generate", "--n", 8, "--max-size", 3, "--seed", 5, "--out", a])
         run(["generate", "--n", 8, "--max-size", 3, "--seed", 5, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gz_output_is_gzip_and_detect_reads_it(self, tmp_path):
+        # it used to write plain text under the .gz name, which detect could not read
+        argv = ["generate", "--n", 8, "--max-size", 3, "--seed", 1, "--out"]
+        plain, packed, again = tmp_path / "g.txt", tmp_path / "g.txt.gz", tmp_path / "again" / "g.txt.gz"
+        for out in (plain, packed, again):
+            assert run([*argv, out]) == 0
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        assert again.read_bytes() == packed.read_bytes()
+        assert run(["detect", "--input", packed, "--out", tmp_path / "s.json"]) == 0
 
 
 class TestDetect:
@@ -153,6 +164,16 @@ class TestProfileCommand:
                         "--kind", kind, "--core-file", core, "--weighted"]) == 0
             curves.append(out.read_bytes())
         assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_gz_scores_and_curve(self, hypercycle_file, tmp_path, fmt):
+        curves = []
+        for suffix in ("", ".gz"):
+            scores, out = tmp_path / f"s.{fmt}{suffix}", tmp_path / f"curve.csv{suffix}"
+            assert run(["detect", "--input", hypercycle_file, "--out", scores, "--format", fmt]) == 0
+            assert run(["profile", "--input", hypercycle_file, "--scores", scores, "--out", out]) == 0
+            curves.append(out.read_bytes())
+        assert gzip.decompress(curves[1]) == curves[0]
 
     def test_bad_csv_scores_rejected(self, hypercycle_file, tmp_path, capsys):
         scores = tmp_path / "s.csv"

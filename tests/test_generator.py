@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -107,11 +108,6 @@ class TestSample:
         b, _ = sample(GeneratorConfig(n=8, max_size=3, seed=2))
         assert a != b
 
-    def test_planted_perm_respected(self):
-        perm = tuple(range(1, 9))
-        _, ranks = sample(GeneratorConfig(n=8, max_size=3, seed=0, planted_perm=perm))
-        assert ranks.tolist() == list(perm)
-
     def test_shuffled_ranks_recorded(self):
         _, ranks = sample(GeneratorConfig(n=12, max_size=3, seed=9))
         assert sorted(ranks.tolist()) == list(range(1, 13))
@@ -130,24 +126,21 @@ class TestSample:
 
     def test_inclusion_frequencies_match_probabilities(self):
         # Monte Carlo calibration on a small instance: every candidate
-        # edge's empirical frequency within 4 binomial sigma
-        cfg = GeneratorConfig(n=6, max_size=3, q_mu=10.0, planted_perm=tuple(range(1, 7)))
+        # edge's empirical frequency within 4 binomial sigma, an edge
+        # named by the planted ranks of its members
+        cfg = GeneratorConfig(n=6, max_size=3, q_mu=10.0)
         trials = 3000
         counts: dict[tuple[int, ...], int] = {}
         for t in range(trials):
-            h, _ = sample(
-                GeneratorConfig(
-                    n=6, max_size=3, q_mu=10.0, seed=t, planted_perm=tuple(range(1, 7))
-                )
-            )
+            h, ranks = sample(dataclasses.replace(cfg, seed=t))
             for e in edge_tuples(h):
-                counts[e] = counts.get(e, 0) + 1
+                key = tuple(sorted(ranks[list(e)].tolist()))
+                counts[key] = counts.get(key, 0) + 1
         for r in (2, 3):
-            for combo in itertools.combinations(range(6), r):
-                ranks = [i + 1 for i in combo]
+            for ranks in itertools.combinations(range(1, 7), r):
                 p = edge_probability(ranks, cfg)
                 sigma = math.sqrt(trials * p * (1 - p))
-                assert abs(counts.get(combo, 0) - trials * p) <= 4 * sigma
+                assert abs(counts.get(ranks, 0) - trials * p) <= 4 * sigma
 
 
 class TestMleObjective:
@@ -186,16 +179,17 @@ class TestMleObjective:
             assert top_obj == top_lik
 
 
-@pytest.mark.parametrize("n, max_size, seed, perm", [
+@pytest.mark.parametrize("n, max_size, seed, xi", [
     (2, 2, 0, None),
     (5, 5, 1, None),
-    (6, 3, 2, (6, 5, 4, 3, 2, 1)),
+    (6, 3, 2, XiRule.UNIT),
     (9, 4, 3, None),
     (12, 12, 4, None),
     (40, 4, 7, None),
 ])
-def test_sample_matches_itertools_enumeration(n, max_size, seed, perm):
-    cfg = GeneratorConfig(n=n, max_size=max_size, seed=seed, planted_perm=perm)
+def test_sample_matches_itertools_enumeration(n, max_size, seed, xi):
+    # xi None keeps the config's default rule
+    cfg = GeneratorConfig(n=n, max_size=max_size, seed=seed, **({"xi": xi} if xi else {}))
     h, ranks = sample(cfg)
     want_h, want_ranks = reference_sample(cfg)
     assert h == want_h

@@ -309,7 +309,6 @@ ID_TAKERS = {
     "profile_value": lambda ids: profile_value(H5, ids),
     "intersection_curve": lambda ids: intersection_curve(np.arange(5.0), ids),
     "mle_objective": lambda ids: mle_objective(H5, [*ids, 2, 3, 4, 5], XiRule.RECIPROCAL, 10.0),
-    "GeneratorConfig": lambda ids: GeneratorConfig(n=5, max_size=3, planted_perm=(*ids, 2, 3, 4, 5)),
 }
 
 

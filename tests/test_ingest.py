@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,12 +305,30 @@ def test_paths_translate_newlines_like_the_reference(tmp_path, name):
     ("# w=nan\n", "line 1: a hyperedge needs at least 2 distinct labels"),
     ("a b # w=nan\n", "line 1: weight must be positive and finite, got nan"),
     ("a b # w=\u3000x\n", "line 1: bad weight '\\u3000x'"),
+    # a label that starts with '%' cannot be written back
+    ("a %b\nb c\n", "line 1: label not representable in text format: '%b'"),
+    ("a b\nc %d %e # w=0\n", "line 2: label not representable in text format: '%d'"),
+    ("c %d # w=x\n", "line 1: bad weight 'x'"),
 ])
 def test_first_bad_line_wins(text, message):
     for read in (read_edge_list, reference_read_edge_list):
         with pytest.raises(ValueError) as err:
             read(io.StringIO(text))
         assert str(err.value) == message
+
+
+def test_long_label_memory_stays_linear():
+    # with a key column per 8 bytes of the longest string for every string,
+    # this 45 kB text peaked at about 100 MB
+    text = "x" * 16_000 + " a\n" + "".join(f"a{i % 997} b{i % 991} c{i % 983}\n" for i in range(2000))
+    tracemalloc.start()
+    try:
+        h = read_edge_list(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.labels[0] == "x" * 16_000 and h.m == 2001
+    assert peak < 100 * len(text)
 
 
 def test_merged_weight_past_float_range_rejected():
