@@ -42,6 +42,7 @@ import json
 import os
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EOFError, zlib.error) as exc:  # the last two: a damaged .gz
         print(f"hypercp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ hyperedges, each a set of at least two nodes, with a positive weight per
 edge.  One canonicalization, on flat arrays (edge sizes and all members
 concatenated), serves the constructor and `from_flat`: node indices in an
 edge are sorted and deduplicated, equal edges merge with their weights
-summed in input order, and edges are stored in lexicographic order.  The
-object is immutable after construction and safe to share across threads.
+summed in input order, and edges are stored in lexicographic order, sorted
+with one packed int64 key per pass over the edges still tied.  The object
+is immutable after construction and safe to share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`), and every caller reads it directly.  Its one
@@ -115,9 +116,18 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
     """Stable lexicographic order of CSR rows of ids in [0, n), and a mask
     over it marking the first of each run of equal rows.
 
-    The order of rows padded with -1 (a prefix sorts first), refined one
-    position at a time over only the rows still tied: the work stays
-    linear in the incidences however long the longest row.
+    The order of rows read as node + 1 and padded with 0 (a prefix sorts
+    first), refined pass by pass over only the rows still tied: the work
+    stays linear in the incidences however long the longest row.  A pass
+    is one `np.sort` of an int64 key that packs, from high to low, the
+    row's tie group, as many further positions as fit (up to the longest
+    tied row's end) and the row's place in the pass, which keeps equal
+    rows in input order.  The first pass has one group, so it packs
+    (63 - log2 m) / log2(n + 1) positions, rounded down: two for a
+    million pairs on a million nodes.  Where not even one position fits
+    beside group and place (groups x rows x (n + 1) > 2^63 in a later
+    pass: a large n with many tied rows), a stable argsort of group and
+    one position does the pass.
     """
     sizes = np.diff(offsets)
     order = np.arange(sizes.size)
@@ -125,17 +135,31 @@ def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.nda
     live = np.arange(sizes.size if sizes.size > 1 else 0)
     k = 0
     while live.size:
-        rows, g = order[live], group[live]  # g ascends, so rows move only within groups
-        key = np.where(sizes[rows] > k, nodes[np.minimum(offsets[rows] + k, nodes.size - 1)], -1)
-        sort_key = g * (n + 1) + key
-        o = np.argsort(sort_key, kind="stable")
-        order[live], key, sort_key = rows[o], key[o], sort_key[o]
-        split = np.diff(sort_key, prepend=-2) != 0
+        rows = order[live]
+        size, start = sizes[rows], offsets[rows]
+        longest = int(size.max())
+        # the group's dense rank; it ascends along live, so rows move only within groups
+        key = np.cumsum(np.diff(group[live], prepend=-1) != 0) - 1
+        room = 2**63 // (int(key[-1] + 1) * live.size)  # the span left for the positions
+        width = 0
+        while width < longest - k and (n + 1) ** (width + 1) <= room:
+            width += 1
+        step = max(width, 1)
+        for j in range(k, k + step):
+            key = key * (n + 1) + np.where(size > j, nodes[np.minimum(start + j, nodes.size - 1)] + 1, 0)
+        if width:
+            key, o = np.divmod(np.sort(key * live.size + np.arange(live.size)), live.size)
+        else:
+            o = np.argsort(key, kind="stable")
+            key = key[o]
+        order[live], size = rows[o], size[o]
+        split = np.diff(key, prepend=-1) != 0
         run = np.cumsum(split) - 1
         group[live] = live[split][run]
-        # a run of rows that all ended here holds equal rows: it is settled
-        live = live[(np.bincount(run)[run] > 1) & (key >= 0)]
-        k += 1
+        k += step
+        # a run of rows that end before position k holds equal rows: it is
+        # settled.  Rows that end at k may tie with longer ones, unless none is.
+        live = live[(np.bincount(run)[run] > 1) & (size >= k)] if k < longest else live[:0]
     return order, np.diff(group, prepend=-1) != 0
 
 

@@ -109,6 +109,20 @@ class TestDetect:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gz_input_fails_cleanly(self, tmp_path, capsys, damage):
+        # each ended in a traceback: EOFError for a stream cut short,
+        # zlib.error for deflate data that does not decode
+        packed = gzip.compress(b"a b\nb c\n" * 100, mtime=0)
+        if damage == "truncated":
+            data = packed[:len(packed) // 2]
+        else:  # 0x07 after the 10-byte header: a final block of the reserved type 3
+            data = packed[:10] + b"\x07" + packed[11:]
+        graph = tmp_path / "g.txt.gz"
+        graph.write_bytes(data)
+        assert run(["detect", "--input", graph, "--out", tmp_path / "o.json"]) == 1
+        assert "hypercp: error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["hypernsm", "borgatti-everett"])
     def test_merged_weight_past_float_range_fails_cleanly(self, tmp_path, capsys, method):
         # Borgatti-Everett wrote NaN scores with exit 0; HyperNSM failed in

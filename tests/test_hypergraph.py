@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercp import (
@@ -241,6 +241,47 @@ def test_construction_matches_dict_merge_oracle(case):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert flat == h
     assert h.degrees.tolist() == [sum(i in e for e in edge_tuples(h)) for i in range(n)]
+
+
+@st.composite
+def wide_id_edge_lists(draw):
+    """Edges on a few ids anywhere in an id space up to the constructor's
+    limit 2^63 / m, most of them repeats with unequal weights."""
+    m = draw(st.integers(2, 60))
+    limit = (2**63 - 1) // m - 1  # the largest n with m (n + 1) < 2^63
+    n = draw(st.integers(3, 2**20) | st.integers(limit // 2, limit))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True))
+    edge = st.lists(st.sampled_from(pool), min_size=2, max_size=6).filter(lambda e: len(set(e)) >= 2)
+    base = draw(st.lists(edge, min_size=1, max_size=4))
+    edges = [draw(st.permutations(draw(st.sampled_from(base)))) for _ in range(m)]
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    return n, edges, weights
+
+
+def twelve_times_three_edges(n):
+    """Three edges, each given twelve times with unequal weights; two
+    start at node 0 and one at n // 2."""
+    edges = [[n - 1, 0], [n // 2, 0], [n // 2, n - 1]] * 12
+    return n, edges, [1.0 + 0.1 * k for k in range(len(edges))]
+
+
+# A small n packs both positions of every row into the first pass.  At
+# the limit n a pass packs one position, and once the first nodes split
+# the rows into two tie groups not even one fits beside group and place.
+@settings(max_examples=200, deadline=None)
+@given(wide_id_edge_lists())
+@example(twelve_times_three_edges(1000))
+@example(twelve_times_three_edges((2**63 - 1) // 36 - 1))
+def test_wide_id_construction_matches_dict_merge_oracle(case):
+    # the degrees are not checked: they would take n entries
+    n, edges, weights = case
+    flat = Hypergraph.from_flat(n, np.array([len(e) for e in edges], dtype=np.int64),
+                                np.array([i for e in edges for i in e], dtype=np.int64),
+                                weights=weights)
+    offsets, members, merged = canonical_incidence(n, edges, weights)
+    for g in (Hypergraph(n, edges, weights=weights), flat):
+        for got, want in ((g.offsets, offsets), (g.members, members), (g.weights, merged)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
