@@ -5,9 +5,10 @@ hyperedges, each a set of at least two nodes, with a positive weight per
 edge.  One canonicalization, on flat arrays (edge sizes and all members
 concatenated), serves the constructor and `from_flat`: node indices in an
 edge are sorted and deduplicated, equal edges merge with their weights
-summed in input order, and edges are stored in lexicographic order, sorted
-with one packed int64 key per pass over the edges still tied.  The object
-is immutable after construction and safe to share across threads.
+summed in input order, and edges are stored in lexicographic order by
+`sorted_rows`, which also interns the text reader's labels as rows of
+bytes (n = 256).  The object is immutable after construction and safe to
+share across threads.
 
 The only stored incidence is the edge -> node CSR triple (`offsets`,
 `members`, `weights`), and every caller reads it directly.  Its one
@@ -112,55 +113,73 @@ def score_vector(x, n: int | None = None) -> np.ndarray:
     return x
 
 
-def _sorted_rows(nodes: np.ndarray, offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of CSR rows of ids in [0, n), and a mask
-    over it marking the first of each run of equal rows.
+def sorted_rows(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows ``values[starts[r]:starts[r] + sizes[r]]``
+    of ids in [0, n), and a mask over it marking the first of each run of
+    equal rows.  An edge is a row of node ids; a text token is a row of
+    bytes, with n = 256.
 
-    The order of rows read as node + 1 and padded with 0 (a prefix sorts
-    first), refined pass by pass over only the rows still tied: the work
-    stays linear in the incidences however long the longest row.  A pass
-    is one `np.sort` of an int64 key that packs, from high to low, the
-    row's tie group, as many further positions as fit (up to the longest
-    tied row's end) and the row's place in the pass, which keeps equal
-    rows in input order.  The first pass has one group, so it packs
-    (63 - log2 m) / log2(n + 1) positions, rounded down: two for a
-    million pairs on a million nodes.  Where not even one position fits
-    beside group and place (groups x rows x (n + 1) > 2^63 in a later
-    pass: a large n with many tied rows), a stable argsort of group and
-    one position does the pass.
+    The order of rows read as id + 1 and padded with 0 (a prefix sorts
+    first), refined pass by pass over only the rows still tied, which are
+    kept compacted between passes: the work stays linear in the values
+    however long the longest row.  A pass is one `np.sort` of an int64 key
+    that packs, from high to low, the row's tie group, as many further
+    positions as fit (up to the longest tied row's end) and the row's
+    place in the pass, which keeps equal rows in input order.  The first
+    pass has one group, so it packs (63 - log2 m) / log2(n + 1) positions,
+    rounded down: two for a million pairs on a million nodes.  Where not
+    even one position fits beside group and place (groups x rows x (n + 1)
+    > 2^63 in a later pass: a large n with many tied rows), a stable
+    argsort of group and one position does the pass.
     """
-    sizes = np.diff(offsets)
-    order = np.arange(sizes.size)
-    group = np.zeros(sizes.size, dtype=np.int64)  # position where a row's tie group starts
-    live = np.arange(sizes.size if sizes.size > 1 else 0)
+    if sizes.size < 2:
+        return np.arange(sizes.size), np.ones(sizes.size, dtype=bool)
+    # the live rows' places in `order` (None while that is every row), ids, sizes, starts, groups
+    at, size, start, group = None, sizes, starts, np.zeros(sizes.size, dtype=np.int64)
     k = 0
-    while live.size:
-        rows = order[live]
-        size, start = sizes[rows], offsets[rows]
-        longest = int(size.max())
-        # the group's dense rank; it ascends along live, so rows move only within groups
-        key = np.cumsum(np.diff(group[live], prepend=-1) != 0) - 1
-        room = 2**63 // (int(key[-1] + 1) * live.size)  # the span left for the positions
+    while group.size:
+        live, longest = group.size, int(size.max())
+        room = 2**63 // (int(group[-1] + 1) * live)  # the span left for the positions
         width = 0
         while width < longest - k and (n + 1) ** (width + 1) <= room:
             width += 1
-        step = max(width, 1)
-        for j in range(k, k + step):
-            key = key * (n + 1) + np.where(size > j, nodes[np.minimum(start + j, nodes.size - 1)] + 1, 0)
+        # the key overwrites the group (read no more), which ascends: rows move only within groups
+        key, shortest = group, int(size.min())
+        for j in range(k, k + max(width, 1)):
+            key *= n + 1
+            read = values.take(start + j, mode="clip")
+            if j < shortest:  # every row reads position j
+                key += read
+                key += 1
+            else:
+                key += (read.astype(np.int64) + 1) * (size > j)  # a uint8 255 + 1 would wrap
         if width:
-            key, o = np.divmod(np.sort(key * live.size + np.arange(live.size)), live.size)
+            key *= live
+            key += np.arange(live)
+            key.sort()
+            key, o = np.divmod(key, live)
         else:
             o = np.argsort(key, kind="stable")
             key = key[o]
-        order[live], size = rows[o], size[o]
-        split = np.diff(key, prepend=-1) != 0
-        run = np.cumsum(split) - 1
-        group[live] = live[split][run]
-        k += step
+        split = np.insert(key[1:] != key[:-1], 0, True)
+        if at is None:  # the first pass holds every row, in input order
+            order, new, rows = o, split, o
+        else:
+            rows = rows[o]
+            order[at], new[at] = rows, split
+        k += max(width, 1)
+        if k >= longest:
+            break
+        size = size[o]
         # a run of rows that end before position k holds equal rows: it is
         # settled.  Rows that end at k may tie with longer ones, unless none is.
-        live = live[(np.bincount(run)[run] > 1) & (size >= k)] if k < longest else live[:0]
-    return order, np.diff(group, prepend=-1) != 0
+        run = np.cumsum(split) - 1
+        keep = (np.bincount(run)[run] > 1) & (size >= k)
+        at = np.flatnonzero(keep) if at is None else at[keep]
+        rows, size, start = rows[keep], size[keep], start[o[keep]]
+        group = np.cumsum(split[keep]) - 1  # runs are kept whole
+    return order, new
 
 
 class GroupedIncidence(NamedTuple):
@@ -261,7 +280,7 @@ class Hypergraph:
 
         # sort edges and merge equal ones; bincount sums each run in input order
         row_offsets = np.r_[0, np.cumsum(distinct)]
-        order, first = _sorted_rows(distinct_nodes, row_offsets, n)
+        order, first = sorted_rows(distinct_nodes, row_offsets[:-1], distinct, n)
         self.n = n
         self.offsets = np.r_[0, np.cumsum(distinct[order[first]])]
         self.members = distinct_nodes[row_indices(row_offsets, order[first])]

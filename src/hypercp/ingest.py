@@ -14,29 +14,27 @@ the non-ASCII whitespace that `str.split` knows to a space, and works on
 the UTF-8 bytes with numpy: a whitespace mask gives the token bounds,
 the newline positions give each line's first token, and each line's
 first ``#`` cuts its labels from its weight.  Labels and weight strings
-are interned as keys: each is packed into big-endian uint64 columns, one
-per 8 bytes with the bytes past its end zeroed, plus its length when the
-text holds a NUL byte (without one, zero padding cannot make two strings
-equal).  One sort on the first column groups the strings of up to 8
-bytes; a later column is read only for the strings still tied that reach
-it.  The groups are numbered by first appearance.  Only the distinct
-labels are decoded, ``float`` runs once per distinct weight string, and
-the checks are array operations: the first bad line in file order
-raises, with the message of its first failed check (weight syntax,
-weight value, two distinct labels, no label that starts with ``%``,
-then a finite positive weight).
+are interned with the constructor's row sort, `hypergraph.sorted_rows`,
+each token a row of bytes: the sort is stable, so each run of equal
+strings starts at its first appearance, and the runs are numbered in
+that order.  Only the distinct labels are decoded, ``float`` runs once
+per distinct weight string, and the checks are array operations: the
+first bad line in file order raises, with the message of its first
+failed check (weight syntax, weight value, two distinct labels, no
+label that starts with ``%``, then a finite positive weight).
 """
 
 from __future__ import annotations
 
 import contextlib
 import gzip
+import io
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import Hypergraph, spans
+from .hypergraph import Hypergraph, sorted_rows, spans
 
 __all__ = [
     "read_edge_list",
@@ -47,8 +45,6 @@ __all__ = [
 
 # the whitespace of str.split outside ASCII, which the reader maps to a space
 _WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
-# _KEEP[k] keeps the k leading bytes of a big-endian uint64
-_KEEP = np.array([(2**64 - 2 ** (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
 def _solid(raw: np.ndarray) -> np.ndarray:
@@ -58,68 +54,15 @@ def _solid(raw: np.ndarray) -> np.ndarray:
 
 
 def _open_text(source, mode: str = "rt"):
-    """Open a path as UTF-8 text (gzip-aware) or pass a file object through."""
+    """Open a path as UTF-8 text (gzip-aware) or pass a file object through.
+    A ``.gz`` file is written with a fixed header time, so two writes of
+    one hypergraph give the same bytes."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         if path.suffix == ".gz":
-            return gzip.open(path, mode, encoding="utf-8")
+            return io.TextIOWrapper(gzip.GzipFile(path, mode[0] + "b", mtime=0), encoding="utf-8")
         return open(path, mode, encoding="utf-8")
     return contextlib.nullcontext(source)
-
-
-def _sorted_keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Sort the byte strings ``buf[starts[k]:ends[k]]`` by their keys.
-
-    Returns the sorting order, a flag on the first string of each run of
-    equal ones, and each run's smallest k.  `buf` ends with 8 zero bytes
-    past every string, so each key column reads a whole uint64.  One
-    sort on the first column (and the length, when the text holds a NUL
-    byte), refined one column at a time over only the strings still tied
-    and longer than the columns read: the work stays linear in the text
-    however long the longest string.
-    """
-    lens = ends - starts
-    window = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
-
-    def column(rows, j):
-        col = window[np.minimum(starts[rows] + 8 * j, buf.size - 8)]
-        col &= _KEEP[np.clip(lens[rows] - 8 * j, 0, 8)]
-        return col
-
-    col = column(slice(None), 0)
-    nul = not buf[:-8].all()  # a NUL byte: "a" and "a\0" pack alike
-    order = np.lexsort((col, lens)) if nul else np.argsort(col)
-    new = np.ones(starts.size, dtype=bool)
-    ranked = col[order]
-    new[1:] = ranked[1:] != ranked[:-1]
-    if nul:
-        ranked = lens[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    if lens.max() > 8:
-        # without a NUL byte, a string that ends by column j has zero there
-        # and one that goes on has not, so tied strings part where one ends
-        heads = np.flatnonzero(new)
-        run = np.cumsum(new) - 1
-        size = np.bincount(run)
-        longest = np.maximum.reduceat(lens[order], heads)
-        live = np.flatnonzero(((size > 1) & (longest > 8))[run])
-        group = heads[run]  # position where each string's tie group starts
-        j = 1
-        while live.size:
-            rows, g = order[live], group[live]  # g ascends: rows move only within groups
-            col = column(rows, j)
-            o = np.lexsort((col, g))
-            order[live], col = rows[o], col[o]
-            split = np.ones(live.size, dtype=bool)
-            split[1:] = (g[1:] != g[:-1]) | (col[1:] != col[:-1])
-            new[live] = split
-            run = np.cumsum(split) - 1
-            group[live] = live[split][run]
-            j += 1
-            size = np.bincount(run)
-            longest = np.maximum.reduceat(lens[order[live]], np.flatnonzero(split))
-            live = live[((size > 1) & (longest > 8 * j))[run]]
-    return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
 
 
 def _first_seen(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -127,16 +70,13 @@ def _first_seen(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
     Returns each string's id and, per id, the k of its first appearance.
     """
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order, new, first = _sorted_keys(buf, starts, ends)
+    order, new = sorted_rows(buf, starts, ends - starts, 256)
+    first = order[new]  # the sort is stable: a run's first string appears first
     by_first = np.argsort(first)
     rank = np.empty(first.size, dtype=np.int64)
     rank[by_first] = np.arange(first.size)
-    group = np.cumsum(new)
-    group -= 1
     ids = np.empty(starts.size, dtype=np.int64)
-    ids[order] = rank[group]
+    ids[order] = rank[np.cumsum(new) - 1]
     return ids, first[by_first]
 
 
@@ -188,10 +128,11 @@ def _parse(text: str):
     constructor runs.
     """
     plain = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
-    # 8 zero bytes past the end let a key read a whole uint64 anywhere
-    data = plain.encode("utf-8", "surrogatepass") + bytes(8)
+    # two zero bytes past the end: the `w=` check reads right_start + 1,
+    # and an empty weight part at the end of the text starts at its end
+    data = plain.encode("utf-8", "surrogatepass") + bytes(2)
     buf = np.frombuffer(data, dtype=np.uint8)
-    raw = buf[:-8]
+    raw = buf[:-2]
 
     # tokens, cut into lines at the newlines; comment lines are dropped
     bounds = np.flatnonzero(np.diff(_solid(raw), prepend=False, append=False))

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypercp import Hypergraph, read_edge_list, write_edge_list
+from hypercp.hypergraph import sorted_rows
 from hypercp.ingest import hypergraph_to_text, read_label_set
 
 from helpers import (
@@ -97,6 +98,13 @@ class TestRoundTrip:
             assert "w=1.5" in f.read()
         h2 = read_edge_list(path)
         assert edges_by_label(h2) == edges_by_label(h)
+
+    def test_gzip_header_time_is_zero(self, tmp_path):
+        # gzip's MTIME field, header bytes 4-7: a fixed time makes two
+        # writes of one hypergraph give the same bytes
+        path = tmp_path / "h.txt.gz"
+        write_edge_list(Hypergraph(3, [[0, 1], [1, 2]]), path)
+        assert path.read_bytes()[4:8] == bytes(4)
 
     def test_plain_file_round_trip(self, tmp_path):
         h = Hypergraph(4, [[0, 1, 2], [2, 3]])
@@ -315,6 +323,43 @@ def test_first_bad_line_wins(text, message):
         with pytest.raises(ValueError) as err:
             read(io.StringIO(text))
         assert str(err.value) == message
+
+
+# rows of bytes with 0 and 255 (255 + 1 must not wrap to the padding's 0)
+_BYTE_ROW = st.lists(st.sampled_from([0, 1, 97, 254, 255]), max_size=10).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _BYTE_ROW), max_size=24),
+       st.binary(min_size=8, max_size=12), st.integers(0, 255))
+@example([(False, b""), (True, b"\xff"), (True, b""), (False, b"\0"), (True, b"\xff\0"),
+          (False, b"\xff"), (True, b"\0"), (True, b"\xff")], b"\xff" * 9, 0)
+def test_sorted_rows_orders_byte_rows_like_sorted(rows, prefix, separator):
+    # some rows share their first 8 or more bytes, so later passes run;
+    # rows lie apart in one buffer, so reads past a row's end see other bytes
+    rows = [prefix + row if shared else row for shared, row in rows]
+    buf = np.frombuffer(bytes([separator]).join(rows) + bytes([separator]), dtype=np.uint8)
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    starts = np.cumsum(sizes + 1) - sizes - 1
+    order, new = sorted_rows(buf, starts, sizes, 256)
+    expected = sorted(range(len(rows)), key=lambda i: (rows[i], i))
+    assert order.tolist() == expected
+    assert new.tolist() == [j == 0 or rows[expected[j]] != rows[expected[j - 1]]
+                            for j in range(len(rows))]
+
+
+def test_shared_prefix_labels_match_reference_loop():
+    # thousands of labels and weight strings that agree on their first 8
+    # or more bytes, so a refinement pass splits many tie groups at once
+    rng = np.random.default_rng(32)
+    names = [f"author_{i:07d}" for i in range(3000)] + [f"author_{i:07d}_x" for i in range(0, 3000, 7)]
+    tails = ["", " # w=1.000000001", " # w=1.000000002", " # w=1.0000000010", " # w=2.5"]
+    lines = [" ".join(rng.choice(names, size=rng.integers(2, 6))) + tails[rng.integers(len(tails))]
+             for _ in range(5000)]
+    text = "\n".join(lines) + "\n"
+    assert read_edge_list(io.StringIO(text)).n > 3000
+    assert (_read_or_error(read_edge_list, io.StringIO(text))
+            == _read_or_error(reference_read_edge_list, io.StringIO(text)))
 
 
 def test_long_label_memory_stays_linear():
