@@ -1,4 +1,5 @@
 import csv
+import errno
 import gzip
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import hypercp
-from hypercp import Hypergraph, hypercycle, write_edge_list
+from hypercp import Hypergraph, hypercycle, read_edge_list, write_edge_list
 from hypercp.cli import _atomic_write, build_parser, main
 
 from helpers import random_hypergraph
@@ -373,11 +374,13 @@ class TestFreshInterpreter:
     """`hypercp` as users run it: a new interpreter, nothing imported yet."""
 
     @staticmethod
-    def child(*argv, cwd):
+    def child(*argv, cwd, **streams):
         path = [str(Path(hypercp.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
-                              text=True, timeout=120)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout off a terminal is then block-buffered
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, text=True,
+                              timeout=120, **streams)
 
     def test_scipy_loaded_only_by_commands_that_build_b(self, hypercycle_file, tmp_path):
         scores = tmp_path / "s.json"
@@ -413,26 +416,88 @@ print(json.dumps(loaded))
         labels = [Path(f"{path}.labels.json").read_bytes() for path in (outside, inside)]
         assert labels[0] == labels[1]
 
-    @pytest.mark.parametrize("call,frozen", [
-        ("import runpy; runpy.run_module('hypercp.cli', run_name='__main__')", True),
-        ("from hypercp.cli import main; sys.exit(main())", True),
+    @pytest.mark.parametrize("call,collector", [
+        ("import runpy; runpy.run_module('hypercp.cli', run_name='__main__')", False),
+        ("from hypercp.cli import main; sys.exit(main())", False),
         ("from hypercp.cli import main; rc = main(sys.argv[1:]); "
-         "print('frozen after main:', gc.get_freeze_count() > 0); sys.exit(rc)", False),
+         "print('collector after main:', gc.isenabled()); sys.exit(rc)", True),
     ], ids=["run-module", "script-main", "main-with-argv"])
-    def test_gc_frozen_at_exit_only_from_the_entry_point(self, hypercycle_file, tmp_path,
-                                                        call, frozen):
-        # the handler registered first runs last, after any that main registers
+    def test_collector_off_only_from_the_entry_point(self, hypercycle_file, tmp_path,
+                                                     call, collector):
+        # registered before main, so it runs at exit; its output must still be flushed
         script = f"""
-import atexit, gc, sys
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import atexit, gc, json, sys
+def at_exit():
+    print("collector at exit:", gc.isenabled())
+    print("converged at exit:", json.load(open("d.json"))["converged"])
+atexit.register(at_exit)
 sys.argv = ["hypercp", "detect", "--input", {str(hypercycle_file)!r}, "--out", "d.json"]
 {call}
 """
         proc = self.child("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        want = ["frozen after main: False"] * (not frozen) + [f"frozen at exit: {frozen}"]
-        assert proc.stdout.splitlines() == want
-        assert json.loads((tmp_path / "d.json").read_text())["converged"]
+        want = ["collector after main: True"] * collector
+        assert proc.stdout.splitlines() == want + [f"collector at exit: {collector}",
+                                                   "converged at exit: True"]
+
+    @pytest.mark.parametrize("argv,code,stderr", [
+        (["generate", "--n", "8", "--max-size", "3", "--out", "g.txt"], 0, ""),
+        (["generate", "--n", "1", "--max-size", "3", "--out", "g.txt"], 1, "hypercp: error: "),
+        (["generate", "--n", "8", "--out", "g.txt"], 2, "usage: "),
+    ], ids=["ok", "value-error", "usage-error"])
+    def test_entry_point_exit_code(self, tmp_path, argv, code, stderr):
+        proc = self.child("-m", "hypercp.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(stderr) and bool(proc.stderr) == bool(stderr)
+
+    @pytest.mark.parametrize("options,code", [
+        ({"n": 8, "max_size": 3, "out": "g.txt"}, 0),
+        ({"n": 1, "max_size": 3, "out": "g.txt"}, 1),
+        ({"n": 8, "max_size": 3, "out": "g.txt", "no_such_option": 1}, 2),
+    ], ids=["ok", "value-error", "usage-error"])
+    def test_rerun_exits_with_the_inner_code(self, tmp_path, options, code):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "generate", "options": options}))
+        proc = self.child("-m", "hypercp.cli", "rerun", str(manifest), cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "g.txt").exists() == (code == 0)
+
+    def test_piped_stdout_is_complete(self, tmp_path):
+        gen = self.child("-m", "hypercp.cli", "generate", "--n", "8", "--max-size", "3",
+                         "--out", "g.txt", cwd=tmp_path)
+        cmp = self.child("-m", "hypercp.cli", "compare", "--input", "g.txt", "--out-dir", "cmp",
+                         cwd=tmp_path)
+        m = read_edge_list(tmp_path / "g.txt").m
+        assert (gen.returncode, gen.stdout) == (0, f"wrote 8 nodes, {m} hyperedges to g.txt\n")
+        assert (cmp.returncode, cmp.stdout) == (0, "compared 4 methods on g.txt -> cmp\n")
+
+    def test_runs_without_stdout(self, tmp_path):
+        # started with fd 1 closed, the interpreter sets sys.stdout to None
+        proc = self.child("-m", "hypercp.cli", "generate", "--n", "8", "--max-size", "3",
+                          "--out", "g.txt", cwd=tmp_path, stdout=None,
+                          preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    def test_failed_stdout_write_is_an_error(self, tmp_path, sink):
+        argv = ("-m", "hypercp.cli", "generate", "--n", "8", "--max-size", "3", "--out", "g.txt")
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = self.child(*argv, cwd=tmp_path, stdout=full)
+            err = errno.ENOSPC
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = self.child(*argv, cwd=tmp_path, stdout=write_end)
+            finally:
+                os.close(write_end)
+            err = errno.EPIPE
+        assert proc.returncode == 1
+        assert proc.stderr == f"hypercp: error: [Errno {err}] {os.strerror(err)}\n"
 
     def test_every_text_file_is_opened_as_utf8(self, tmp_path):
         # an open() that leaves the encoding to the locale raises here
