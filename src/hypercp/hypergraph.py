@@ -126,21 +126,23 @@ def sorted_rows(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     however long the longest row.  A pass is one `np.sort` of an int64 key
     that packs, from high to low, the row's tie group, as many further
     positions as fit (up to the longest tied row's end) and the row's
-    place in the pass, which keeps equal rows in input order.  The first
+    place in its group, which keeps equal rows in input order.  The first
     pass has one group, so it packs (63 - log2 m) / log2(n + 1) positions,
     rounded down: two for a million pairs on a million nodes.  Where not
-    even one position fits beside group and place (groups x rows x (n + 1)
-    > 2^63 in a later pass: a large n with many tied rows), a stable
-    argsort of group and one position does the pass.
+    even one position fits beside group and place (groups x largest group
+    x (n + 1) > 2^63 in a later pass: a large n with many large tie
+    groups), a stable argsort of group and one position does the pass.
     """
     if sizes.size < 2:
         return np.arange(sizes.size), np.ones(sizes.size, dtype=bool)
-    # the live rows' places in `order` (None while that is every row), ids, sizes, starts, groups
+    # the live rows' places in `order` (None while that is every row), ids, sizes, starts, groups,
+    # the first live row of each row's group, and the largest group's size
     at, size, start, group = None, sizes, starts, np.zeros(sizes.size, dtype=np.int64)
+    lead, big = 0, sizes.size
     k = 0
     while group.size:
         live, longest = group.size, int(size.max())
-        room = 2**63 // (int(group[-1] + 1) * live)  # the span left for the positions
+        room = 2**63 // (int(group[-1] + 1) * big)  # the span left for the positions
         width = 0
         while width < longest - k and (n + 1) ** (width + 1) <= room:
             width += 1
@@ -155,10 +157,11 @@ def sorted_rows(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
             else:
                 key += (read.astype(np.int64) + 1) * (size > j)  # a uint8 255 + 1 would wrap
         if width:
-            key *= live
-            key += np.arange(live)
+            key *= big
+            key += np.arange(live) - lead
             key.sort()
-            key, o = np.divmod(key, live)
+            key, o = np.divmod(key, big)
+            o += lead  # rows move only within groups: each sorted row's group starts where it did
         else:
             o = np.argsort(key, kind="stable")
             key = key[o]
@@ -178,7 +181,9 @@ def sorted_rows(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
         keep = (np.bincount(run)[run] > 1) & (size >= k)
         at = np.flatnonzero(keep) if at is None else at[keep]
         rows, size, start = rows[keep], size[keep], start[o[keep]]
-        group = np.cumsum(split[keep]) - 1  # runs are kept whole
+        begins = split[keep]  # runs are kept whole
+        group, heads = np.cumsum(begins) - 1, np.flatnonzero(begins)
+        lead, big = heads[group], int(np.diff(heads, append=group.size).max(initial=0))
     return order, new
 
 

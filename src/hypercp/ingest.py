@@ -12,16 +12,17 @@ repeated lines merge, weights summed.
 The reader has no per-line Python loop.  It reads the whole text, maps
 the non-ASCII whitespace that `str.split` knows to a space, and works on
 the UTF-8 bytes with numpy: a whitespace mask gives the token bounds,
-the newline positions give each line's first token, and each line's
-first ``#`` cuts its labels from its weight.  Labels and weight strings
-are interned with the constructor's row sort, `hypergraph.sorted_rows`,
-each token a row of bytes: the sort is stable, so each run of equal
-strings starts at its first appearance, and the runs are numbered in
-that order.  Only the distinct labels are decoded, ``float`` runs once
-per distinct weight string, and the checks are array operations: the
-first bad line in file order raises, with the message of its first
-failed check (weight syntax, weight value, two distinct labels, no
-label that starts with ``%``, then a finite positive weight).
+the newline positions give each line's first token, and one index
+numbers each token's line, through which every per-line rule applies.
+A line's first ``#`` cuts its tokens there, and the rest of the line,
+stripped, is its weight part.  Labels and weight parts are interned
+with the constructor's row sort, `hypergraph.sorted_rows`, each a row
+of bytes: the sort is stable, so each run of equal strings starts at its
+first appearance, and the runs are numbered in that order.  Only the
+distinct labels are decoded, and each distinct weight part is checked
+once.  The first bad line in file order raises, with the message of its
+first failed check (weight syntax, weight value, two distinct labels,
+no label that starts with ``%``, then a finite positive weight).
 """
 
 from __future__ import annotations
@@ -85,11 +86,16 @@ def _strings(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
             for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _float_or_none(text: str) -> float | None:
+def _check_weight(part: str) -> tuple[int, float]:
+    """Check a weight part, the text after a line's first '#': kind 1 if
+    it is not ``w=...`` once stripped, kind 2 if the rest is not a float."""
+    part = part.lstrip()  # it ends at a token's end
+    if not part.startswith("w="):
+        return 1, 1.0
     try:
-        return float(text)
+        return 0, float(part[2:])
     except ValueError:
-        return None
+        return 2, 1.0
 
 
 def _line_error(text: str, lineno: int, kind: int, weight: float) -> ValueError:
@@ -128,11 +134,8 @@ def _parse(text: str):
     constructor runs.
     """
     plain = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
-    # two zero bytes past the end: the `w=` check reads right_start + 1,
-    # and an empty weight part at the end of the text starts at its end
-    data = plain.encode("utf-8", "surrogatepass") + bytes(2)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    raw = buf[:-2]
+    data = plain.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(data, dtype=np.uint8)
 
     # tokens, cut into lines at the newlines; comment lines are dropped
     bounds = np.flatnonzero(np.diff(_solid(raw), prepend=False, append=False))
@@ -145,60 +148,49 @@ def _parse(text: str):
     if not edge.all():
         keep = np.repeat(edge, sizes)
         starts, ends, sizes = starts[keep], ends[keep], sizes[edge]
+    lines = sizes.size
+    line = np.repeat(np.arange(lines), sizes)
     last = np.cumsum(sizes) - 1
     line_pos = starts[last]  # a byte on each line, to number it in an error
 
-    # each line's first '#' cuts its labels from the rest of the line: the
-    # weight part runs from the next non-space byte to the line's last token
+    # each line's first '#' cuts its labels from its weight part, which runs
+    # from the next byte to the line's last token
     hashes = np.flatnonzero(raw == ord("#"))
-    token = np.searchsorted(starts, hashes, side="right") - 1
-    hashes, token = hashes[token >= 0], token[token >= 0]
-    inside = ends[token] > hashes
+    token = np.searchsorted(ends, hashes, side="right")  # the first token that ends past it
+    inside = np.append(starts, raw.size)[token] <= hashes  # else the '#' is in a comment line
     hashes, token = hashes[inside], token[inside]
-    hashed = np.searchsorted(last, token)
+    hashed = line[token]
     first = np.diff(hashed, prepend=-1) != 0
-    hashes, token, hashed = hashes[first], token[first], hashed[first]
+    hashes, hashed = hashes[first], hashed[first]
     right_end = ends[last[hashed]]
-    following = np.where(token < last[hashed], starts.take(token + 1, mode="clip"), right_end)
-    right_start = np.where(ends[token] > hashes + 1, hashes + 1, following)
-    if hashes.size:
-        # keep the part of the cut token before its '#', drop what follows
-        partial = starts[token] < hashes
-        ends = ends.copy()
-        ends[token[partial]] = hashes[partial]
-        dropped = last[hashed] + 1 - token - partial
-        keep = np.ones(starts.size, dtype=bool)
-        keep[np.repeat(token + partial - np.cumsum(dropped) + dropped, dropped)
-             + np.arange(dropped.sum())] = False
-        starts, ends = starts[keep], ends[keep]
-        sizes[hashed] -= dropped
+    if hashes.size:  # a token keeps only its bytes before its line's first '#'
+        cut = np.full(lines, raw.size)
+        cut[hashed] = hashes
+        cut = cut[line]
+        keep = starts < cut
+        starts, ends, line = starts[keep], np.minimum(ends, cut)[keep], line[keep]
+        sizes = np.bincount(line, minlength=lines)
 
-    syntax = ((right_end - right_start >= 2) & (buf[right_start] == ord("w"))
-              & (buf[right_start + 1] == ord("=")))
-    weighted = hashed[syntax]
-    weight_starts, weight_ends = right_start[syntax] + 2, right_end[syntax]
-    weight_ids, weight_first = _first_seen(buf, weight_starts, weight_ends)
-    parsed = [_float_or_none(s)
-              for s in _strings(data, weight_starts[weight_first], weight_ends[weight_first])]
-    unparsed = np.array([w is None for w in parsed], dtype=bool)
-    weights = np.ones(sizes.size)
-    weights[weighted] = np.array(parsed, dtype=np.float64)[weight_ids]
+    # each distinct weight part is checked once
+    part_ids, part_first = _first_seen(raw, hashes + 1, right_end)
+    parts = _strings(data, hashes[part_first] + 1, right_end[part_first])
+    checked = np.array([_check_weight(part) for part in parts], dtype=[("kind", np.int8), ("weight", float)])
+    weights = np.ones(lines)
+    weights[hashed] = checked["weight"][part_ids]
 
-    ids, label_first = _first_seen(buf, starts, ends)
-    filled = sizes > 0
-    offsets = (np.cumsum(sizes) - sizes)[filled]
-    two = np.zeros(sizes.size, dtype=bool)
-    two[filled] = np.minimum.reduceat(ids, offsets) != np.maximum.reduceat(ids, offsets)
+    ids, label_first = _first_seen(raw, starts, ends)
+    # a line has two distinct labels iff two neighbouring tokens on it differ
+    two = np.zeros(lines, dtype=bool)
+    two[line[1:][(ids[1:] != ids[:-1]) & (line[1:] == line[:-1])]] = True
 
     # the first bad line wins; within a line, the first failed check
-    kind = np.zeros(sizes.size, dtype=np.int8)
+    kind = np.zeros(lines, dtype=np.int8)
     kind[~(np.isfinite(weights) & (weights > 0.0))] = 5
-    percent = buf[starts[label_first]] == ord("%")  # only a line's first token makes a comment
-    if percent.any():
-        kind[np.searchsorted(np.cumsum(sizes), np.flatnonzero(percent[ids]), side="right")] = 4
+    percent = raw[starts[label_first]] == ord("%")  # only a line's first token makes a comment
+    kind[line[percent[ids]]] = 4
     kind[~two] = 3
-    kind[weighted[unparsed[weight_ids]]] = 2
-    kind[hashed[~syntax]] = 1
+    failed = checked["kind"][part_ids]
+    kind[hashed[failed > 0]] = failed[failed > 0]
     if kind.any():
         bad = int(np.argmax(kind > 0))
         lineno = int(np.searchsorted(newlines, line_pos[bad])) + 1

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -282,6 +284,21 @@ def test_wide_id_construction_matches_dict_merge_oracle(case):
     for g in (Hypergraph(n, edges, weights=weights), flat):
         for got, want in ((g.offsets, offsets), (g.members, members), (g.weights, merged)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_repeated_wide_id_edges_sort_without_the_argsort_fallback():
+    # 10,000 random 3-node edges on n = 4e14, each given twice: the first
+    # pass leaves 10,000 tie groups of two rows, and a row's place within
+    # its group (not within the pass) leaves room to pack one position
+    rng = np.random.default_rng(34)
+    n = 4 * 10**14
+    edges = rng.integers(0, n, size=(10_000, 3)).tolist() * 2
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        h = Hypergraph.from_flat(n, np.full(len(edges), 3), np.array(edges).ravel())
+    assert [c for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"] == []
+    offsets, members, merged = canonical_incidence(n, edges)
+    for got, want in ((h.offsets, offsets), (h.members, members), (h.weights, merged)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -278,6 +278,14 @@ _LINE = st.tuples(st.sampled_from(["", "", "%", " %", "\u3000"]),
 @example([("", [("a", " "), ("b", " ")], ""), ("", [("a\0", " "), ("b", " ")], "")], ["\n"] * 8, False)
 @example([("", [("a", " ")], ""), ("", [("a", " "), ("b", " ")], ""), ("", [("c", " ")], " # x=1")],
          ["\n"] * 8, True)
+# '#' cuts: inside a label, a line of only a weight, in a '%' comment line,
+# twice on a line, as the text's last byte, then a '%' label after a weight
+@example([("", [("a", " "), ("b#w=0.5", "")], ""), ("", [("b", " "), ("c", " ")], "")], ["\n"] * 8, True)
+@example([("", [("a", " "), ("b", " ")], ""), ("", [], "# w=1.0")], ["\n"] * 8, True)
+@example([("%", [("x", " ")], " # w=2"), ("", [("a", " "), ("b", " ")], " # w=3")], ["\n"] * 8, True)
+@example([("", [("a#b", " "), ("c", " ")], " # w=1")], ["\n"] * 8, True)
+@example([("", [("a", " "), ("b", "")], "#")], ["\n"] * 8, False)
+@example([("", [("a", " "), ("b", " ")], " # w=2"), ("", [("c", " "), ("%d", " ")], "")], ["\n"] * 8, True)
 def test_reader_matches_reference_loop(lines, ends, trailing):
     text = "".join(lead + "".join(w + s for w, s in words) + tail + end
                    for (lead, words, tail), end in zip(lines, ends))
